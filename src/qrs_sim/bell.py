@@ -68,20 +68,17 @@ class ExperimentConfig:
     The pair state is ``c_1 |up,down> + c_2 |down,up>`` with ``c_1 = a`` and
     ``c_2 = -b``; ``|a|^2 + |b|^2`` must be 1 within 1e-12.  ``theta1`` and
     ``theta2`` are the measurement-axis angles from z, in radians, axes in
-    the x-z plane.  ``ancilla`` records whether the scenario attaches
-    recording devices (bookkeeping; the ancilla entry points work either
-    way).  Defaults give the maximally entangled pair at (0, pi/2).
+    the x-z plane.  Defaults give the maximally entangled pair at (0, pi/2).
     """
 
     a: complex = ROOT_HALF
     b: complex = ROOT_HALF
     theta1: float = 0.0
     theta2: float = math.pi / 2
-    ancilla: bool = False
 
     def __post_init__(self):
         total = abs(self.a) ** 2 + abs(self.b) ** 2
-        if abs(total - 1.0) > COEFF_TOL:
+        if not abs(total - 1.0) <= COEFF_TOL:
             raise NotNormalized(f"|a|^2 + |b|^2 = {total!r} deviates from 1 by more than {COEFF_TOL}")
 
     @property
@@ -165,19 +162,29 @@ def outcome_overlaps(theta: float, which: int) -> np.ndarray:
     return xi[:, list(columns)]
 
 
+def _controlled_swap(controls) -> tuple[np.ndarray, np.ndarray]:
+    """``(sum_l |s_l><s_l| (x) swap_l, sum_l |s_l><s_l|)`` for the control
+    states ``s_1, s_2, ...``, where ``swap_l`` exchanges the ready and
+    ``l``-th slots of a pointer appended after the controls' factors."""
+    dim = controls[0].space.dim
+    total = np.zeros((dim * POINTER_DIM, dim * POINTER_DIM), dtype=complex)
+    covered = np.zeros((dim, dim), dtype=complex)
+    for slot, state in enumerate(controls, start=1):
+        swap = np.eye(POINTER_DIM)
+        swap[[READY, slot]] = swap[[slot, READY]]
+        block = np.outer(state.amplitudes, state.amplitudes.conj())
+        covered += block
+        total += np.kron(block, swap)
+    return total, covered
+
+
 def measurement_unitary(theta: float, particle: str, pointer: str) -> Operator:
     """Unitary on particle + pointer implementing the measurement coupling
     |xi_j>|ready> -> |xi_j>|outcome_j>, completed by the controlled pointer
     swap ready <-> outcome_j conditioned on xi_j (identity on the remaining
     pointer state)."""
     space = SpaceRegistry([(particle, SPIN_DIM), (pointer, POINTER_DIM)])
-    xi = spin_eigenstates(theta, particle)
-    total = np.zeros((space.dim, space.dim), dtype=complex)
-    for j, state in enumerate(xi, start=1):
-        swap = np.eye(POINTER_DIM)
-        swap[[READY, j]] = swap[[j, READY]]
-        block = np.outer(state.amplitudes, state.amplitudes.conj())
-        total += np.kron(block, swap)
+    total, _ = _controlled_swap(spin_eigenstates(theta, particle))
     return Operator(space, total)
 
 
@@ -250,6 +257,17 @@ def pointer_outcome_states(label: str) -> tuple[StateVector, StateVector]:
     return basis_state(space, 1), basis_state(space, 2)
 
 
+def pointer_joint(state: StateVector, pointers) -> JointDistribution:
+    """Joint outcome table of the given pointer devices on ``state``, one
+    axis per pointer in the order given: the generic machinery with the
+    analytic pointer outcome candidates injected."""
+    return joint_distribution(
+        [(pointer,) for pointer in pointers],
+        ReferenceSystem(state, isolated=True),
+        candidates=[pointer_outcome_states(pointer) for pointer in pointers],
+    )
+
+
 def particle_candidate_states(which: int) -> tuple[StateVector, StateVector]:
     """The analytic pair-basis states phi_{which,1}, phi_{which,2}."""
     space = particle_space(particle_label(which))
@@ -261,13 +279,7 @@ def correlation_direct(config: ExperimentConfig) -> CorrelationTable:
     """Device-device table computed through the generic machinery: evolve
     the composite, reduce to the two devices, and take projector-product
     traces against the analytic outcome candidates."""
-    final = evolve_experiment(config)
-    reference = ReferenceSystem(final, isolated=True)
-    dist = joint_distribution(
-        [(M1,), (M2,)],
-        reference,
-        candidates=[pointer_outcome_states(M1), pointer_outcome_states(M2)],
-    )
+    dist = pointer_joint(evolve_experiment(config), (M1, M2))
     return CorrelationTable((config.theta1, config.theta2), dist.probabilities, "direct")
 
 
@@ -331,8 +343,6 @@ def ancilla_recording_unitary(config: ExperimentConfig, which: int) -> Operator:
     identity on the orthogonal complement of the chi states.  It leaves the
     chi states themselves untouched."""
     side = _side(which)
-    chi = ancilla_candidate_states(config, side)
-    device_dim = SPIN_DIM * POINTER_DIM
     space = SpaceRegistry(
         [
             (particle_label(side), SPIN_DIM),
@@ -340,15 +350,8 @@ def ancilla_recording_unitary(config: ExperimentConfig, which: int) -> Operator:
             (ancilla_label(side), POINTER_DIM),
         ]
     )
-    total = np.zeros((space.dim, space.dim), dtype=complex)
-    covered = np.zeros((device_dim, device_dim), dtype=complex)
-    for l, state in enumerate(chi, start=1):
-        swap = np.eye(POINTER_DIM)
-        swap[[READY, l]] = swap[[l, READY]]
-        block = np.outer(state.amplitudes, state.amplitudes.conj())
-        covered += block
-        total += np.kron(block, swap)
-    total += np.kron(np.eye(device_dim) - covered, np.eye(POINTER_DIM))
+    total, covered = _controlled_swap(ancilla_candidate_states(config, side))
+    total += np.kron(np.eye(covered.shape[0]) - covered, np.eye(POINTER_DIM))
     return Operator(space, total)
 
 
@@ -370,28 +373,13 @@ def ancilla_joint_distribution(config: ExperimentConfig) -> JointDistribution:
     """Four-system table over (A1, A2, M1, M2) on the ancilla-extended
     state, with the analytic pointer candidates injected; indexed
     (l1, l2, j, k) and equal to the intuitive would-be joint table."""
-    reference = ReferenceSystem(ancilla_experiment(config), isolated=True)
-    return joint_distribution(
-        [(A1,), (A2,), (M1,), (M2,)],
-        reference,
-        candidates=[
-            pointer_outcome_states(A1),
-            pointer_outcome_states(A2),
-            pointer_outcome_states(M1),
-            pointer_outcome_states(M2),
-        ],
-    )
+    return pointer_joint(ancilla_experiment(config), (A1, A2, M1, M2))
 
 
 def ancilla_device_table(config: ExperimentConfig) -> CorrelationTable:
     """Device-device table on the ancilla-extended state: the recordings
     change it from the interference form to the factorized form."""
-    reference = ReferenceSystem(ancilla_experiment(config), isolated=True)
-    dist = joint_distribution(
-        [(M1,), (M2,)],
-        reference,
-        candidates=[pointer_outcome_states(M1), pointer_outcome_states(M2)],
-    )
+    dist = pointer_joint(ancilla_experiment(config), (M1, M2))
     return CorrelationTable((config.theta1, config.theta2), dist.probabilities, "direct")
 
 

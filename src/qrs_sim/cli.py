@@ -22,18 +22,16 @@ import numpy as np
 from . import bell
 from .errors import ConfigError, NotNormalized, QrsError
 from .linalg import SpaceRegistry, StateVector, basis_state, tensor_product
-from .reference import (
-    JointDistribution,
-    ReferenceSystem,
-    internal_state_candidates,
-    joint_distribution,
-    state_of,
-)
+from .reference import JointDistribution, ReferenceSystem, internal_state_candidates, state_of
 
 SCENARIOS = ("intro-measurement", "pair-correlations", "bell", "bell-ancilla", "chsh-scan")
 RESIDUAL_GATE = 1e-10
 MAX_ANGLE = 2.0 * math.pi + 1e-9
 DEFAULT_QUADRUPLE = (0.0, math.pi / 2.0, math.pi / 4.0, 3.0 * math.pi / 4.0)
+#: input caps: every grid point costs a full CHSH evaluation by three routes,
+#: and every sample is held in memory as an index tuple
+MAX_GRID_STEPS = 1000
+MAX_SAMPLES = 1_000_000
 
 _FILE_KEYS = (
     "scenario",
@@ -67,10 +65,8 @@ class ScenarioSpec:
     format: str = "json"
     out: str | None = None
 
-    def config(self, ancilla: bool = False) -> bell.ExperimentConfig:
-        return bell.ExperimentConfig(
-            a=self.a, b=self.b, theta1=self.theta1, theta2=self.theta2, ancilla=ancilla
-        )
+    def config(self) -> bell.ExperimentConfig:
+        return bell.ExperimentConfig(a=self.a, b=self.b, theta1=self.theta1, theta2=self.theta2)
 
 
 @dataclass
@@ -115,14 +111,19 @@ def _parse_complex(text: str, flag: str) -> complex:
         im = float(parts[1]) if len(parts) == 2 else 0.0
     except ValueError:
         raise _fail(flag, f"expected numbers, got {text!r}") from None
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise _fail(flag, f"expected finite numbers, got {text!r}")
     return complex(re, im)
 
 
 def _parse_float(text: str, flag: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise _fail(flag, f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise _fail(flag, f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_int(text: str, flag: str) -> int:
@@ -147,7 +148,7 @@ def load_config_file(path: str) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"--config: cannot read {path!r}: {exc}") from None
     for number, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -194,15 +195,18 @@ def build_spec(values: dict[str, str]) -> ScenarioSpec:
         start = _check_angle(_parse_float(parts[0], "grid"), "grid")
         stop = _check_angle(_parse_float(parts[1], "grid"), "grid")
         steps = _parse_int(parts[2], "grid")
-        if steps < 1:
-            raise _fail("grid", f"steps must be >= 1, got {steps}")
+        if not 1 <= steps <= MAX_GRID_STEPS:
+            raise _fail("grid", f"steps must be in [1, {MAX_GRID_STEPS}], got {steps}")
         kwargs["grid"] = (start, stop, steps)
     if "seed" in values:
-        kwargs["seed"] = _parse_int(values["seed"], "seed")
+        seed = _parse_int(values["seed"], "seed")
+        if seed < 0:
+            raise _fail("seed", f"must be >= 0, got {seed}")
+        kwargs["seed"] = seed
     if "samples" in values:
         samples = _parse_int(values["samples"], "samples")
-        if samples < 0:
-            raise _fail("samples", f"must be >= 0, got {samples}")
+        if not 0 <= samples <= MAX_SAMPLES:
+            raise _fail("samples", f"must be in [0, {MAX_SAMPLES}], got {samples}")
         kwargs["samples"] = samples
     if "format" in values:
         fmt = str(values["format"]).strip().lower()
@@ -212,9 +216,15 @@ def build_spec(values: dict[str, str]) -> ScenarioSpec:
     if "out" in values and values["out"]:
         kwargs["out"] = str(values["out"])
 
-    total = abs(kwargs.get("a", complex(bell.ROOT_HALF))) ** 2
-    total += abs(kwargs.get("b", complex(bell.ROOT_HALF))) ** 2
-    if abs(total - 1.0) > 1e-12:
+    a = kwargs.get("a", complex(bell.ROOT_HALF))
+    b = kwargs.get("b", complex(bell.ROOT_HALF))
+    try:
+        total = abs(a) ** 2 + abs(b) ** 2
+    except OverflowError:
+        raise NotNormalized(
+            f"|a|^2 + |b|^2 overflows for a = {a!r}, b = {b!r}; it must be 1 within 1e-12"
+        ) from None
+    if not abs(total - 1.0) <= 1e-12:
         raise NotNormalized(f"|a|^2 + |b|^2 = {total!r} must be 1 within 1e-12")
 
     if scenario != "chsh-scan":
@@ -257,9 +267,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--theta1", help="first measurement angle from z, radians")
     run_p.add_argument("--theta2", help="second measurement angle from z, radians")
     run_p.add_argument("--angles", help="CHSH quadruple 'alpha,alpha2,beta,beta2', radians")
-    run_p.add_argument("--grid", help="scan grid 'start,stop,steps' (chsh-scan only)")
+    run_p.add_argument(
+        "--grid", help=f"scan grid 'start,stop,steps' (chsh-scan only; 1 <= steps <= {MAX_GRID_STEPS})"
+    )
     run_p.add_argument("--seed", help="sampling seed (default 0)")
-    run_p.add_argument("--samples", help="number of samples to draw (default 0)")
+    run_p.add_argument("--samples", help=f"number of samples to draw (default 0, at most {MAX_SAMPLES})")
     run_p.add_argument("--format", help="report format: csv or json (default json)")
     run_p.add_argument("--out", help="path for the machine-readable report")
     return parser
@@ -309,9 +321,7 @@ def _run_intro(spec: ScenarioSpec) -> RunReport:
     final = unitary.apply(start)
     reference = ReferenceSystem(final, isolated=True)
 
-    dist = joint_distribution(
-        [("M",)], reference, candidates=[bell.pointer_outcome_states("M")]
-    )
+    dist = bell.pointer_joint(final, ("M",))
     marginal = dist.probabilities
     xi = bell.spin_eigenstates(spec.theta1, "P")
     born = np.array([abs(state.overlap(spin)) ** 2 for state in xi])
@@ -348,21 +358,12 @@ def _run_pair(spec: ScenarioSpec) -> RunReport:
     return report
 
 
-def _device_joint(config: bell.ExperimentConfig, state: StateVector) -> JointDistribution:
-    reference = ReferenceSystem(state, isolated=True)
-    return joint_distribution(
-        [(bell.M1,), (bell.M2,)],
-        reference,
-        candidates=[bell.pointer_outcome_states(bell.M1), bell.pointer_outcome_states(bell.M2)],
-    )
-
-
 def _run_bell(spec: ScenarioSpec) -> RunReport:
     config = spec.config()
     final = bell.evolve_experiment(config)
     entangled = bell.correlation_entangled(config)
     factorized = bell.correlation_factorized(config)
-    direct = _device_joint(config, final)
+    direct = bell.pointer_joint(final, (bell.M1, bell.M2))
     marginal1 = bell.device_marginal(final, 1)
     marginal2 = bell.device_marginal(final, 2)
 
@@ -393,18 +394,18 @@ def _run_bell(spec: ScenarioSpec) -> RunReport:
 
 
 def _run_ancilla(spec: ScenarioSpec) -> RunReport:
-    config = spec.config(ancilla=True)
+    config = spec.config()
     state = bell.ancilla_experiment(config)
-    n4 = bell.ancilla_joint_distribution(config)
+    n4 = bell.pointer_joint(state, (bell.A1, bell.A2, bell.M1, bell.M2))
     intuitive = bell.intuitive_joint(config)
-    collapsed = bell.ancilla_device_table(config)
+    collapsed = bell.pointer_joint(state, (bell.M1, bell.M2)).probabilities
     factorized = bell.correlation_factorized(config)
     entangled = bell.correlation_entangled(config)
 
     settings = (spec.theta1, spec.theta2)
     report = RunReport(spec=spec)
     report.tables.append(ReportTable("ancilla_joint", n4.probabilities, ("l1", "l2", "j", "k"), settings))
-    report.tables.append(ReportTable("direct", collapsed.table, ("j", "k"), settings))
+    report.tables.append(ReportTable("direct", collapsed, ("j", "k"), settings))
     report.tables.append(ReportTable("factorized", factorized.table, ("j", "k"), settings))
     report.tables.append(ReportTable("entangled", entangled.table, ("j", "k"), settings))
 
@@ -413,10 +414,10 @@ def _run_ancilla(spec: ScenarioSpec) -> RunReport:
         np.max(np.abs(n4.probabilities - intuitive))
     )
     report.residuals["route:devices_vs_factorized"] = float(
-        np.max(np.abs(collapsed.table - factorized.table))
+        np.max(np.abs(collapsed - factorized.table))
     )
     report.residuals["table_sum:ancilla_joint"] = abs(float(n4.probabilities.sum()) - 1.0)
-    report.metrics["correlation_change"] = float(np.max(np.abs(collapsed.table - entangled.table)))
+    report.metrics["correlation_change"] = float(np.max(np.abs(collapsed - entangled.table)))
     _attach_sampling(report, n4, ("l1", "l2", "j", "k"))
     return report
 

@@ -12,7 +12,6 @@ Storage is dense only; the total composite dimension is capped at 4096.
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -133,7 +132,7 @@ class StateVector:
             if nrm == 0.0:
                 raise NotNormalized("cannot normalize a zero vector")
             amps = amps / nrm
-        elif abs(nrm - 1.0) > NORM_TOL:
+        elif not abs(nrm - 1.0) <= NORM_TOL:
             raise NotNormalized(f"state norm {nrm!r} deviates from 1 by more than {NORM_TOL}")
         amps.flags.writeable = False
         self.space = space
@@ -277,25 +276,6 @@ def tensor_product(first: StateVector, second: StateVector, *rest: StateVector) 
     return out
 
 
-def _trace_axes_spec(space: SpaceRegistry, kept: tuple[str, ...]) -> str:
-    """einsum subscripts tracing out every label not in ``kept``."""
-    n = len(space.entries)
-    if 2 * n > len(string.ascii_letters):
-        raise ValueError("too many tensor factors for the einsum-based trace")
-    row = list(string.ascii_letters[:n])
-    col = []
-    out_row, out_col = [], []
-    for i, (label, _) in enumerate(space.entries):
-        if label in kept:
-            c = string.ascii_letters[n + i]
-            out_row.append(row[i])
-            out_col.append(c)
-            col.append(c)
-        else:
-            col.append(row[i])
-    return "".join(row) + "".join(col) + "->" + "".join(out_row + out_col)
-
-
 def partial_trace(rho: DensityOperator | StateVector, keep) -> DensityOperator:
     """Trace out every label not listed in ``keep``.
 
@@ -314,8 +294,16 @@ def partial_trace(rho: DensityOperator | StateVector, keep) -> DensityOperator:
         traced = [i for i, (label, _) in enumerate(space.entries) if label not in kept]
         reduced = np.tensordot(tensor, tensor.conj(), axes=(traced, traced))
     else:
+        # row axis i is index i; a traced column axis shares its row's index
+        # and is summed, the r-th kept one gets index n + r (einsum accepts
+        # indices below 52 only, so they are kept dense)
+        n = len(space.dims)
+        rows = [i for i, label in enumerate(space.labels) if label in kept]
+        cols = list(range(n))
+        for r, i in enumerate(rows):
+            cols[i] = n + r
         tensor = rho.matrix.reshape(space.dims + space.dims)
-        reduced = np.einsum(_trace_axes_spec(space, kept), tensor)
+        reduced = np.einsum(tensor, list(range(n)) + cols, rows + [cols[i] for i in rows])
     return DensityOperator(sub, reduced.reshape(sub.dim, sub.dim))
 
 

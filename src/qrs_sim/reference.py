@@ -223,19 +223,6 @@ def _candidate_states(
     return out
 
 
-def _prepared_query(systems, reference, candidates):
-    if not reference.isolated:
-        raise NotIsolated("joint probabilities are defined only for isolated reference systems")
-    systems = _normalized_systems(systems, reference)
-    if not systems:
-        raise ValueError("at least one subsystem is required")
-    _check_disjoint(systems)
-    states = _candidate_states(systems, reference, candidates)
-    union = reference.space.resolve([label for system in systems for label in system])
-    rho_union = state_of(union, reference)
-    return systems, states, rho_union
-
-
 def joint_probability(
     assignment: CandidateAssignment | Sequence,
     reference: ReferenceSystem,
@@ -251,25 +238,28 @@ def joint_probability(
     """
     if not isinstance(assignment, CandidateAssignment):
         assignment = CandidateAssignment.of(*assignment)
-    systems, states, rho_union = _prepared_query(assignment.systems, reference, candidates)
-    product = np.eye(rho_union.space.dim, dtype=complex)
-    for system, index, options in zip(systems, assignment.indices, states):
-        if not 0 <= index < len(options):
+    dist = joint_distribution(assignment.systems, reference, candidates=candidates)
+    for (system, count), index in zip(dist.axes, assignment.indices):
+        # numpy would read a negative index from the end of the axis
+        if not 0 <= index < count:
             raise IndexError(
-                f"candidate index {index} out of range for {'+'.join(system)} "
-                f"({len(options)} candidates)"
+                f"candidate index {index} out of range for {'+'.join(system)} ({count} candidates)"
             )
-        product = product @ projector(options[index], rho_union.space).matrix
-    value = float(np.trace(product @ rho_union.matrix).real)
-    if not -PROB_CLAMP - 1e-9 <= value <= 1.0 + PROB_CLAMP + 1e-9:
-        raise RuntimeError(f"joint probability {value!r} escaped [0, 1] beyond tolerance")
-    return min(max(value, 0.0), 1.0)
+    return float(dist.probabilities[assignment.indices])
 
 
 def joint_distribution(systems, reference: ReferenceSystem, *, candidates=None) -> JointDistribution:
     """Full probability table over all candidate index tuples of the given
     pairwise-disjoint subsystems.  Sums to 1 within 1e-10."""
-    systems, states, rho_union = _prepared_query(systems, reference, candidates)
+    if not reference.isolated:
+        raise NotIsolated("joint probabilities are defined only for isolated reference systems")
+    systems = _normalized_systems(systems, reference)
+    if not systems:
+        raise ValueError("at least one subsystem is required")
+    _check_disjoint(systems)
+    states = _candidate_states(systems, reference, candidates)
+    union = reference.space.resolve([label for system in systems for label in system])
+    rho_union = state_of(union, reference)
     space = rho_union.space
     projectors = [[projector(phi, space).matrix for phi in options] for options in states]
     shape = tuple(len(options) for options in states)

@@ -125,8 +125,9 @@ def singlet_factorized_correlator(theta1, theta2):
 
 class TestExperimentConfig:
     def test_rejects_unnormalized(self):
-        with pytest.raises(NotNormalized):
-            ExperimentConfig(a=1.0, b=1.0)
+        for a, b in ((1.0, 1.0), (float("nan"), ROOT_HALF)):
+            with pytest.raises(NotNormalized):
+                ExperimentConfig(a=a, b=b)
 
     def test_coefficient_convention(self):
         config = ExperimentConfig(a=0.6, b=0.8)

@@ -1,12 +1,21 @@
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qrs_sim.cli import (
+    MAX_GRID_STEPS,
+    MAX_SAMPLES,
     RESIDUAL_GATE,
+    SCENARIOS,
     ReportTable,
     RunReport,
     ScenarioSpec,
@@ -83,6 +92,14 @@ class TestParsing:
     def test_bad_grid_steps(self):
         with pytest.raises(ConfigError, match="steps"):
             parse_config(["run", "--scenario", "chsh-scan", "--grid", "0,1,0"])
+        with pytest.raises(ConfigError, match="steps"):
+            build_spec({"scenario": "chsh-scan", "grid": f"0,1,{MAX_GRID_STEPS + 1}"})
+
+    def test_sampling_bounds(self):
+        with pytest.raises(ConfigError, match="samples"):
+            build_spec({"scenario": "bell", "samples": str(MAX_SAMPLES + 1)})
+        with pytest.raises(ConfigError, match="seed"):
+            build_spec({"scenario": "bell", "seed": "-1", "samples": "5"})
 
     def test_config_file_merge_and_override(self, tmp_path):
         path = tmp_path / "scenario.cfg"
@@ -109,6 +126,12 @@ class TestParsing:
         path = tmp_path / "bad.cfg"
         path.write_text("scenario bell\n")
         with pytest.raises(ConfigError, match="bad.cfg:1"):
+            load_config_file(str(path))
+
+    def test_config_file_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"scenario = bell\n\xff\xfe\n")
+        with pytest.raises(ConfigError, match="cannot read"):
             load_config_file(str(path))
 
     def test_build_spec_requires_known_scenario(self):
@@ -224,6 +247,21 @@ class TestMain:
     def test_not_normalized_exit_code(self, capsys):
         assert main(["run", "--scenario", "bell", "--a", "1", "--b", "1"]) == 2
 
+    @pytest.mark.parametrize(
+        "flag,named",
+        [
+            ("--theta1=nan", "--theta1"),
+            ("--a=nan", "--a"),
+            ("--b=0.6,inf", "--b"),
+            ("--a=1e308", "a = (1e+308+0j)"),
+        ],
+    )
+    def test_non_finite_or_overflowing_number_exit_code(self, flag, named, capsys):
+        assert main(["run", "--scenario=bell", flag]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert "Traceback" not in err
+
     def test_unwritable_output_exit_code(self, tmp_path, capsys):
         missing_dir = tmp_path / "nope" / "report.json"
         assert main(SINGLET_FLAGS + ["--out", str(missing_dir)]) == 2
@@ -249,3 +287,64 @@ class TestMain:
         assert report.ok
         report.residuals["y"] = RESIDUAL_GATE
         assert not report.ok
+
+
+NUMBER_TEXTS = st.one_of(
+    st.sampled_from(
+        ["nan", "-nan", "inf", "-inf", "1e308", "-1e308", "1e155,1e155", "-0.8,0", "0.6", "0.8",
+         "0.7071067811865476", "0", "1", "-1", "3.2", "7", "1e-320", "0x1", "abc", "", ","]
+    ),
+    st.floats().map(repr),
+    st.text(max_size=6),
+)
+ANGLES = st.one_of(st.floats(-6.28, 6.28).map(repr), NUMBER_TEXTS)
+COEFFICIENTS = st.one_of(
+    st.sampled_from(["0.6", "0.8", "-0.8,0", "0,0.6", "0.7071067811865476"]),
+    NUMBER_TEXTS,
+    st.tuples(NUMBER_TEXTS, NUMBER_TEXTS).map(",".join),
+)
+# grid steps <= 5 and samples <= 50 keep each run small
+SMALL_COUNTS = st.one_of(st.integers(-3, 5).map(str), st.sampled_from(["", "abc", "1.5", "nan", "2e1"]))
+FUZZ_VALUES = {
+    "scenario": st.sampled_from(SCENARIOS + ("everything",)),
+    "a": COEFFICIENTS,
+    "b": COEFFICIENTS,
+    "theta1": ANGLES,
+    "theta2": ANGLES,
+    "angles": st.lists(ANGLES, min_size=3, max_size=5).map(",".join),
+    "grid": st.tuples(ANGLES, ANGLES, SMALL_COUNTS).map(",".join),
+    "seed": st.one_of(st.integers(-1, 2**40).map(str), NUMBER_TEXTS),
+    "samples": st.one_of(st.integers(-1, 50).map(str), st.sampled_from(["", "1e1", "nan"])),
+    "format": st.sampled_from(["csv", "json", "JSON", "xml"]),
+    "out": st.sampled_from(["report.out", "missing/report.out", ""]),
+}
+FILE_FIELDS = st.fixed_dictionaries({}, optional=FUZZ_VALUES)
+# a scenario on every command line: without one, every run stops at the same error
+FLAG_FIELDS = st.fixed_dictionaries(
+    {"scenario": FUZZ_VALUES["scenario"]},
+    optional={key: value for key, value in FUZZ_VALUES.items() if key != "scenario"},
+)
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(flags=FLAG_FIELDS, file_fields=FILE_FIELDS)
+    def test_main_exit_contract(self, flags, file_fields):
+        with tempfile.TemporaryDirectory() as work:
+            for fields in (flags, file_fields):
+                if fields.get("out"):
+                    fields["out"] = os.path.join(work, fields["out"])
+            argv = ["run"] + [f"--{key}={value}" for key, value in flags.items()]
+            if file_fields:
+                path = os.path.join(work, "scenario.cfg")
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.writelines(f"{key} = {value}\n" for key, value in file_fields.items())
+                argv.append(f"--config={path}")
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+        assert code in (0, 1, 2)
+        assert "Traceback" not in stderr.getvalue()

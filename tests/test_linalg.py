@@ -114,8 +114,9 @@ class TestSpaceRegistry:
 class TestStateVector:
     def test_rejects_unnormalized(self):
         space = SpaceRegistry([("A", 2)])
-        with pytest.raises(NotNormalized):
-            StateVector(space, [1.0, 1.0])
+        for amplitudes in ([1.0, 1.0], [float("nan"), 0.0]):
+            with pytest.raises(NotNormalized):
+                StateVector(space, amplitudes)
 
     def test_normalize_mode(self):
         space = SpaceRegistry([("A", 2)])
@@ -256,6 +257,16 @@ class TestPartialTrace:
                 partial_trace(psi.density(), keep).matrix,
                 atol=1e-12,
             )
+
+    def test_many_trivial_factors(self, rng):
+        # 30 factors, 28 of dimension 1: more than a letter-per-axis
+        # einsum spec can name
+        entries = [(f"L{i}", {3: 2, 27: 3}.get(i, 1)) for i in range(30)]
+        psi = random_state(SpaceRegistry(entries), rng)
+        keep = ["L3", "L27", "L29"]
+        assert_allclose(
+            partial_trace(psi.density(), keep).matrix, partial_trace(psi, keep).matrix, atol=1e-12
+        )
 
     def test_sequential_equals_simultaneous(self, rng):
         space = SpaceRegistry([("A", 2), ("B", 2), ("C", 3)])

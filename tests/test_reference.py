@@ -165,8 +165,9 @@ class TestJointProbability:
         assert excinfo.value.overlap == ("M1",)
 
     def test_candidate_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            joint_probability([("M", 5)], post_measurement_system())
+        for index in (5, -1):
+            with pytest.raises(IndexError):
+                joint_probability([("M", index)], post_measurement_system())
 
     def test_requires_isolated(self):
         ref = ReferenceSystem(post_measurement_system().state, isolated=False)
