@@ -24,10 +24,7 @@ from .linalg import (
     StateVector,
     basis_state,
     eig_hermitian,
-    embed_operator,
-    identity,
     partial_trace,
-    projector,
     tensor_product,
 )
 from .reference import (
@@ -79,9 +76,6 @@ __all__ = [
     "tensor_product",
     "partial_trace",
     "eig_hermitian",
-    "projector",
-    "embed_operator",
-    "identity",
     "basis_state",
     "ReferenceSystem",
     "CandidateAssignment",

@@ -29,7 +29,6 @@ from .linalg import (
     SpaceRegistry,
     StateVector,
     basis_state,
-    embed_operator,
     partial_trace,
     tensor_product,
 )
@@ -53,10 +52,12 @@ ENTRY_TOL = 1e-12
 TABLE_KINDS = ("entangled", "factorized", "direct", "empirical")
 
 
+@lru_cache(maxsize=None)
 def particle_space(label: str) -> SpaceRegistry:
     return SpaceRegistry([(label, SPIN_DIM)])
 
 
+@lru_cache(maxsize=None)
 def pointer_space(label: str) -> SpaceRegistry:
     return SpaceRegistry([(label, POINTER_DIM)])
 
@@ -77,7 +78,12 @@ class ExperimentConfig:
     theta2: float = math.pi / 2
 
     def __post_init__(self):
-        total = abs(self.a) ** 2 + abs(self.b) ** 2
+        try:
+            total = abs(self.a) ** 2 + abs(self.b) ** 2
+        except OverflowError:
+            raise NotNormalized(
+                f"|a|^2 + |b|^2 overflows for a = {self.a!r}, b = {self.b!r}"
+            ) from None
         if not abs(total - 1.0) <= COEFF_TOL:
             raise NotNormalized(f"|a|^2 + |b|^2 = {total!r} deviates from 1 by more than {COEFF_TOL}")
 
@@ -104,9 +110,10 @@ class CorrelationTable:
         table = np.asarray(self.table, dtype=float)
         if table.shape != (2, 2):
             raise ValueError(f"table shape {table.shape} must be (2, 2)")
-        if float(table.min()) < -ENTRY_TOL:
+        # written so that NaN fails both guards
+        if not float(table.min()) >= -ENTRY_TOL:
             raise ValueError(f"negative entry {float(table.min()):.3e}")
-        if abs(float(table.sum()) - 1.0) > TABLE_SUM_TOL:
+        if not abs(float(table.sum()) - 1.0) <= TABLE_SUM_TOL:
             raise ValueError(f"table sums to {float(table.sum())!r}")
         table = table.copy()
         table.flags.writeable = False
@@ -178,45 +185,34 @@ def _controlled_swap(controls) -> tuple[np.ndarray, np.ndarray]:
     return total, covered
 
 
+@lru_cache(maxsize=256)
 def measurement_unitary(theta: float, particle: str, pointer: str) -> Operator:
     """Unitary on particle + pointer implementing the measurement coupling
     |xi_j>|ready> -> |xi_j>|outcome_j>, completed by the controlled pointer
     swap ready <-> outcome_j conditioned on xi_j (identity on the remaining
-    pointer state)."""
+    pointer state).  Cached: angle grids revisit the same settings
+    constantly, and an Operator is immutable, so sharing is safe."""
     space = SpaceRegistry([(particle, SPIN_DIM), (pointer, POINTER_DIM)])
     total, _ = _controlled_swap(spin_eigenstates(theta, particle))
     return Operator(space, total)
 
 
-def experiment_space(ancilla: bool = False) -> SpaceRegistry:
-    entries = [(P1, SPIN_DIM), (M1, POINTER_DIM), (P2, SPIN_DIM), (M2, POINTER_DIM)]
-    if ancilla:
-        entries += [(A1, POINTER_DIM), (A2, POINTER_DIM)]
-    return SpaceRegistry(entries)
-
-
-@lru_cache(maxsize=256)
-def _embedded_measurement(theta: float, which: int) -> Operator:
-    # angle grids revisit the same settings constantly; Operator is
-    # immutable, so sharing cached instances is safe
-    space = experiment_space()
-    side = _side(which)
-    return embed_operator(
-        measurement_unitary(theta, particle_label(side), pointer_label(side)), space
-    )
+@lru_cache(maxsize=None)
+def experiment_space() -> SpaceRegistry:
+    return SpaceRegistry([(P1, SPIN_DIM), (M1, POINTER_DIM), (P2, SPIN_DIM), (M2, POINTER_DIM)])
 
 
 def evolve_experiment(config: ExperimentConfig) -> StateVector:
     """Final state on (P1, M1, P2, M2): both local measurement unitaries
-    applied to the pair state with both pointers ready."""
-    space = experiment_space()
+    applied to the pair state with both pointers ready, each contracted
+    with its own particle and pointer axes."""
     start = tensor_product(
         entangled_pair_state(config),
         basis_state(pointer_space(M1), READY),
         basis_state(pointer_space(M2), READY),
-    ).reorder(space.labels)
-    u1 = _embedded_measurement(config.theta1, 1)
-    u2 = _embedded_measurement(config.theta2, 2)
+    ).reorder(experiment_space().labels)
+    u1 = measurement_unitary(config.theta1, P1, M1)
+    u2 = measurement_unitary(config.theta2, P2, M2)
     return u2.apply(u1.apply(start))
 
 
@@ -245,6 +241,7 @@ def correlation_factorized(config: ExperimentConfig) -> CorrelationTable:
     return CorrelationTable((config.theta1, config.theta2), o1 @ np.diag(weights) @ o2.T, "factorized")
 
 
+@lru_cache(maxsize=None)
 def pointer_outcome_states(label: str) -> tuple[StateVector, StateVector]:
     """The two outcome pointer basis states, in outcome order.
 
@@ -277,8 +274,8 @@ def particle_candidate_states(which: int) -> tuple[StateVector, StateVector]:
 
 def correlation_direct(config: ExperimentConfig) -> CorrelationTable:
     """Device-device table computed through the generic machinery: evolve
-    the composite, reduce to the two devices, and take projector-product
-    traces against the analytic outcome candidates."""
+    the composite and contract it with the analytic outcome candidates of
+    the two devices."""
     dist = pointer_joint(evolve_experiment(config), (M1, M2))
     return CorrelationTable((config.theta1, config.theta2), dist.probabilities, "direct")
 
@@ -357,15 +354,15 @@ def ancilla_recording_unitary(config: ExperimentConfig, which: int) -> Operator:
 
 def ancilla_experiment(config: ExperimentConfig) -> StateVector:
     """Final state on (P1, M1, P2, M2, A1, A2) after both measurements and
-    both ancilla recordings."""
-    space = experiment_space(ancilla=True)
+    both ancilla recordings, each recording unitary contracted with its own
+    particle, device and ancilla axes."""
     start = tensor_product(
         evolve_experiment(config),
         basis_state(pointer_space(A1), READY),
         basis_state(pointer_space(A2), READY),
     )
-    w1 = embed_operator(ancilla_recording_unitary(config, 1), space)
-    w2 = embed_operator(ancilla_recording_unitary(config, 2), space)
+    w1 = ancilla_recording_unitary(config, 1)
+    w2 = ancilla_recording_unitary(config, 2)
     return w2.apply(w1.apply(start))
 
 

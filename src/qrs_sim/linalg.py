@@ -4,8 +4,10 @@ Every state and operator carries a :class:`SpaceRegistry` naming its tensor
 factors.  The registry order fixes the dense index layout once and for all:
 indices are row-major with the leftmost label slowest-varying, so a registry
 ``(A: 2, B: 3)`` stores amplitude ``(a, b)`` at flat index ``a * 3 + b``.
-Kronecker products, partial traces and operator embeddings all share this
-single convention.
+Kronecker products, partial traces and local operators all share this
+single convention.  Every state the package evaluates is pure, so a local
+operator is applied by contracting its own axes of the amplitude tensor,
+never by widening it to the full space.
 
 Storage is dense only; the total composite dimension is capped at 4096.
 """
@@ -36,13 +38,9 @@ def _as_label_tuple(labels) -> tuple[str, ...]:
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product via broadcasting; np.kron's generality costs too
-    much on the small matrices this package lives on."""
-    if a.ndim == 1:
-        return (a[:, None] * b[None, :]).reshape(a.size * b.size)
-    return (
-        a[:, None, :, None] * b[None, :, None, :]
-    ).reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    """Kronecker product of two vectors via broadcasting; np.kron's
+    generality costs too much on the small vectors this package lives on."""
+    return (a[:, None] * b[None, :]).reshape(a.size * b.size)
 
 
 class SpaceRegistry:
@@ -172,7 +170,7 @@ class StateVector:
 
 class Operator:
     """Square complex matrix acting on a labeled space (no invariants
-    beyond shape; used for unitaries, projectors and other maps)."""
+    beyond shape; used for local unitaries)."""
 
     __slots__ = ("space", "matrix")
 
@@ -185,20 +183,26 @@ class Operator:
         self.matrix = mat
 
     def apply(self, state: StateVector) -> StateVector:
-        """Apply to a state on the same space.  The result must again be
-        normalized (the package only ever applies norm-preserving maps to
-        states); a non-unitary application raises NotNormalized."""
-        if self.space != state.space:
-            raise ValueError("operator and state live on different spaces")
-        return StateVector(state.space, self.matrix @ state.amplitudes)
-
-    def dagger(self) -> "Operator":
-        return Operator(self.space, self.matrix.conj().T)
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        if self.space != other.space:
-            raise ValueError("operator product requires a common space")
-        return Operator(self.space, self.matrix @ other.matrix)
+        """Apply to a state whose registry contains this operator's labels,
+        in any placement and order, acting as the identity on every other
+        factor.  The operator's axes of the amplitude tensor are contracted
+        with the matrix and put back in place; no full-space matrix is
+        built.  The result must again be normalized (the package only ever
+        applies norm-preserving maps to states); a non-unitary application
+        raises NotNormalized."""
+        space = state.space
+        if self.space == space:
+            return StateVector(space, self.matrix @ state.amplitudes)
+        axes = []
+        for label, dim in self.space.entries:
+            axis = space.axis(label)
+            if space.dims[axis] != dim:
+                raise ValueError(f"dimension mismatch for label {label!r}")
+            axes.append(axis)
+        k = len(axes)
+        op = self.matrix.reshape(self.space.dims + self.space.dims)
+        moved = np.tensordot(op, state.amplitudes.reshape(space.dims), axes=(range(k, 2 * k), axes))
+        return StateVector(space, np.moveaxis(moved, range(k), axes).reshape(-1))
 
     def __repr__(self) -> str:
         return f"Operator({self.space!r})"
@@ -215,14 +219,15 @@ class DensityOperator:
         mat = np.array(matrix, dtype=complex)
         if mat.shape != (space.dim, space.dim):
             raise ValueError(f"matrix shape {mat.shape} does not match space dim {space.dim}")
+        # every guard is written so that NaN fails it
         herm_residual = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
-        if herm_residual > HERMITIAN_TOL:
+        if not herm_residual <= HERMITIAN_TOL:
             raise NotHermitian(f"Hermiticity residual {herm_residual:.3e} exceeds {HERMITIAN_TOL}")
         trace = complex(np.trace(mat))
-        if abs(trace - 1.0) > TRACE_TOL:
+        if not abs(trace - 1.0) <= TRACE_TOL:
             raise ValueError(f"trace {trace!r} deviates from 1 by more than {TRACE_TOL}")
         smallest = float(np.linalg.eigvalsh(mat)[0])
-        if smallest < -PSD_TOL:
+        if not smallest >= -PSD_TOL:
             raise ValueError(f"negative eigenvalue {smallest:.3e} below -{PSD_TOL}")
         mat.flags.writeable = False
         self.space = space
@@ -294,16 +299,14 @@ def partial_trace(rho: DensityOperator | StateVector, keep) -> DensityOperator:
         traced = [i for i, (label, _) in enumerate(space.entries) if label not in kept]
         reduced = np.tensordot(tensor, tensor.conj(), axes=(traced, traced))
     else:
-        # row axis i is index i; a traced column axis shares its row's index
-        # and is summed, the r-th kept one gets index n + r (einsum accepts
-        # indices below 52 only, so they are kept dense)
-        n = len(space.dims)
-        rows = [i for i, label in enumerate(space.labels) if label in kept]
-        cols = list(range(n))
-        for r, i in enumerate(rows):
-            cols[i] = n + r
-        tensor = rho.matrix.reshape(space.dims + space.dims)
-        reduced = np.einsum(tensor, list(range(n)) + cols, rows + [cols[i] for i in rows])
+        # (kept, traced, kept, traced) -> (dk, dt, dk, dt), then trace the
+        # two traced axes; no einsum index limit on the factor count
+        kept_axes = [space.axis(label) for label in kept]
+        order = kept_axes + [i for i in range(len(space.dims)) if i not in kept_axes]
+        n = len(order)
+        tensor = rho.matrix.reshape(space.dims + space.dims).transpose(order + [n + i for i in order])
+        dt = space.dim // sub.dim
+        reduced = np.trace(tensor.reshape(sub.dim, dt, sub.dim, dt), axis1=1, axis2=3)
     return DensityOperator(sub, reduced.reshape(sub.dim, sub.dim))
 
 
@@ -332,7 +335,7 @@ def eig_hermitian(rho: DensityOperator, *, gap_threshold: float = DEGENERACY_GAP
     """
     mat = rho.matrix
     herm_residual = float(np.max(np.abs(mat - mat.conj().T)))
-    if herm_residual > HERMITIAN_TOL:
+    if not herm_residual <= HERMITIAN_TOL:
         raise NotHermitian(f"Hermiticity residual {herm_residual:.3e} exceeds {HERMITIAN_TOL}")
     values, vectors = np.linalg.eigh(mat)
     order = list(np.argsort(-values, kind="stable"))
@@ -355,51 +358,6 @@ def eig_hermitian(rho: DensityOperator, *, gap_threshold: float = DEGENERACY_GAP
         (float(values[i]), StateVector(rho.space, columns[i])) for i in range(len(values))
     )
     return Spectrum(pairs=pairs, degenerate=degenerate, gap_threshold=gap_threshold)
-
-
-def identity(space: SpaceRegistry) -> Operator:
-    return Operator(space, np.eye(space.dim))
-
-
-def embed_operator(op: Operator, full_space: SpaceRegistry) -> Operator:
-    """Extend an operator by the identity on all labels of ``full_space``
-    it does not act on, producing a matrix in the full space's layout.
-
-    The sub-operator's labels may sit anywhere (and in any order) inside
-    the full registry; dimensions must agree label by label.
-    """
-    sub = op.space
-    for label, dim in sub.entries:
-        if label not in full_space:
-            raise UnknownLabel(f"label {label!r} not in space {full_space.labels}")
-        if full_space.entries[full_space.axis(label)][1] != dim:
-            raise ValueError(f"dimension mismatch for label {label!r}")
-    comp_entries = tuple(e for e in full_space.entries if e[0] not in sub)
-    if not comp_entries:
-        if sub.labels == full_space.labels:
-            return Operator(full_space, op.matrix)
-        arranged_labels = sub.labels
-        arranged_dims = sub.dims
-        big = op.matrix
-    else:
-        comp_dim = int(np.prod([d for _, d in comp_entries]))
-        big = _kron(op.matrix, np.eye(comp_dim))
-        arranged_labels = sub.labels + tuple(label for label, _ in comp_entries)
-        arranged_dims = sub.dims + tuple(d for _, d in comp_entries)
-    n = len(arranged_labels)
-    position = {label: i for i, label in enumerate(arranged_labels)}
-    perm = [position[label] for label in full_space.labels]
-    tensor = big.reshape(arranged_dims + arranged_dims)
-    tensor = tensor.transpose(perm + [p + n for p in perm])
-    return Operator(full_space, np.ascontiguousarray(tensor).reshape(full_space.dim, full_space.dim))
-
-
-def projector(phi: StateVector, full_space: SpaceRegistry) -> Operator:
-    """|phi><phi| tensored with the identity on the complement of phi's
-    labels, laid out in ``full_space`` order.  Idempotent and Hermitian;
-    its trace equals the complement dimension."""
-    small = Operator(phi.space, np.outer(phi.amplitudes, phi.amplitudes.conj()))
-    return embed_operator(small, full_space)
 
 
 def basis_state(space: SpaceRegistry, index: int | Sequence[int]) -> StateVector:

@@ -6,9 +6,12 @@ that pure state over everything outside ``S``.  For an *isolated* reference
 system the eigenstates of that reduced operator are the candidate internal
 states of ``S``, and the joint probability that several pairwise-disjoint
 subsystems sit in given candidates is the trace of the corresponding
-projector product against the reduced state of their union.  Disjointness
-is enforced: overlapping subsystems raise :class:`NonDisjointSystems`
-because no joint probability is defined for them.
+projector product against the reduced state of their union.  Because the
+reference state is pure, that trace is evaluated as one contraction of the
+amplitude tensor with the candidate bras, ``sum_r |(<phi_1| ... <phi_k|)
+psi_r|^2`` over the remaining factors ``r``.  Disjointness is enforced:
+overlapping subsystems raise :class:`NonDisjointSystems` because no joint
+probability is defined for them.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .linalg import (
     StateVector,
     eig_hermitian,
     partial_trace,
-    projector,
     _as_label_tuple,
 )
 
@@ -94,11 +96,12 @@ class JointDistribution:
         expected = tuple(count for _, count in self.axes)
         if table.shape != expected:
             raise ValueError(f"table shape {table.shape} does not match axes {expected}")
+        # written so that NaN fails both guards
         low = float(table.min())
-        if low < -PROB_CLAMP:
+        if not low >= -PROB_CLAMP:
             raise ValueError(f"negative probability {low:.3e} below -{PROB_CLAMP}")
         total = float(table.sum())
-        if abs(total - 1.0) > TABLE_SUM_TOL:
+        if not abs(total - 1.0) <= TABLE_SUM_TOL:
             raise ValueError(f"table sums to {total!r}, off from 1 by more than {TABLE_SUM_TOL}")
         table = table.copy()
         table.flags.writeable = False
@@ -205,6 +208,8 @@ def _candidate_states(
         sub = reference.space.restrict(system)
         rho = state_of(system, reference).matrix
         states = tuple(states)
+        if not states:
+            raise ValueError(f"no candidates given for {'+'.join(system)}")
         for m, phi in enumerate(states):
             if phi.space != sub:
                 raise ValueError(
@@ -258,19 +263,20 @@ def joint_distribution(systems, reference: ReferenceSystem, *, candidates=None) 
         raise ValueError("at least one subsystem is required")
     _check_disjoint(systems)
     states = _candidate_states(systems, reference, candidates)
-    union = reference.space.resolve([label for system in systems for label in system])
-    rho_union = state_of(union, reference)
-    space = rho_union.space
-    projectors = [[projector(phi, space).matrix for phi in options] for options in states]
-    shape = tuple(len(options) for options in states)
-    table = np.empty(shape, dtype=float)
-    for index in np.ndindex(shape):
-        product = projectors[0][index[0]]
-        for axis in range(1, len(index)):
-            product = product @ projectors[axis][index[axis]]
-        table[index] = float(np.trace(product @ rho_union.matrix).real)
-    table = np.clip(table, 0.0, 1.0)
-    axes = tuple((system, n) for system, n in zip(systems, shape))
+    # amplitude tensor as (D_1, ..., D_k, R): system axes first, each
+    # system's labels flattened in registry order, the rest last
+    space = reference.space
+    front = [space.axis(label) for system in systems for label in system]
+    rest = [i for i in range(len(space.dims)) if i not in front]
+    dims = tuple(options[0].space.dim for options in states)
+    tensor = reference.state.amplitudes.reshape(space.dims).transpose(front + rest).reshape(dims + (-1,))
+    # contracting the leading axis with each system's bras in turn leaves
+    # (R, n_1, ..., n_k)
+    for options in states:
+        bras = np.array([phi.amplitudes for phi in options]).conj()
+        tensor = np.tensordot(tensor, bras, axes=(0, 1))
+    table = np.clip(np.sum(np.abs(tensor) ** 2, axis=0), 0.0, 1.0)
+    axes = tuple((system, n) for system, n in zip(systems, table.shape))
     return JointDistribution(axes=axes, probabilities=table)
 
 

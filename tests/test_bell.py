@@ -12,6 +12,7 @@ from qrs_sim import (
     partial_trace,
 )
 from qrs_sim.bell import (
+    CorrelationTable,
     ExperimentConfig,
     ancilla_candidate_states,
     ancilla_device_table,
@@ -30,6 +31,9 @@ from qrs_sim.bell import (
     measurement_unitary,
     spin_eigenstates,
 )
+from qrs_sim.linalg import SpaceRegistry, StateVector
+
+from oracles import embed_operator
 
 ROOT_HALF = 2**-0.5
 
@@ -125,13 +129,20 @@ def singlet_factorized_correlator(theta1, theta2):
 
 class TestExperimentConfig:
     def test_rejects_unnormalized(self):
-        for a, b in ((1.0, 1.0), (float("nan"), ROOT_HALF)):
+        for a, b in ((1.0, 1.0), (float("nan"), ROOT_HALF), (1e200, ROOT_HALF)):
             with pytest.raises(NotNormalized):
                 ExperimentConfig(a=a, b=b)
 
     def test_coefficient_convention(self):
         config = ExperimentConfig(a=0.6, b=0.8)
         assert config.coefficients == (0.6 + 0j, -0.8 + 0j)
+
+
+class TestCorrelationTable:
+    def test_rejects_invalid_tables(self):
+        for table in (np.full((2, 2), 0.5), np.diag([1.5, -0.5]), np.full((2, 2), np.nan)):
+            with pytest.raises(ValueError):
+                CorrelationTable((0.0, 0.0), table, "direct")
 
 
 class TestEntangledPairState:
@@ -220,7 +231,6 @@ class TestEvolveExperiment:
 
     def test_local_evolutions_commute(self):
         from qrs_sim.bell import experiment_space
-        from qrs_sim.linalg import embed_operator
 
         config = ExperimentConfig(a=0.6, b=0.8, theta1=0.5, theta2=2.1)
         space = experiment_space()
@@ -382,6 +392,19 @@ class TestAncillaExperiment:
         rng = np.random.default_rng(17)
         u = ancilla_recording_unitary(random_config(rng), 1).matrix
         assert np.max(np.abs(u.conj().T @ u - np.eye(18))) < 1e-12
+
+    def test_recording_contraction_matches_embedding(self):
+        # the 18x18 recording unitary applied inside the 6-factor space
+        rng = np.random.default_rng(24)
+        config = random_config(rng)
+        space = SpaceRegistry([("P1", 2), ("M1", 3), ("P2", 2), ("M2", 3), ("A1", 3), ("A2", 3)])
+        amps = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+        psi = StateVector(space, amps, normalize=True)
+        for which in (1, 2):
+            w = ancilla_recording_unitary(config, which)
+            assert_allclose(
+                w.apply(psi).amplitudes, embed_operator(w, space).apply(psi).amplitudes, atol=1e-12
+            )
 
     def test_recording_leaves_candidates_untouched(self):
         config = ExperimentConfig(theta1=0.9, theta2=1.7)

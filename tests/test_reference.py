@@ -23,11 +23,14 @@ from qrs_sim import (
 )
 from qrs_sim.bell import (
     ExperimentConfig,
+    ancilla_experiment,
     entangled_pair_state,
     evolve_experiment,
     particle_candidate_states,
     pointer_outcome_states,
 )
+
+from oracles import joint_distribution_by_projectors
 
 
 def post_measurement_system(alpha=0.6, beta=0.8):
@@ -216,6 +219,12 @@ class TestJointProbability:
                 candidates=[(wrong, wrong), particle_candidate_states(2)],
             )
 
+    def test_rejects_empty_candidate_list(self):
+        with pytest.raises(ValueError, match="no candidates"):
+            joint_distribution(
+                [("P1",), ("P2",)], pair_system(), candidates=[(), particle_candidate_states(2)]
+            )
+
 
 class TestJointDistribution:
     def test_pair_table(self):
@@ -249,6 +258,8 @@ class TestJointDistribution:
             JointDistribution(axes=((("A",), 2),), probabilities=np.array([0.9, 0.3]))
         with pytest.raises(ValueError):
             JointDistribution(axes=((("A",), 2),), probabilities=np.array([1.1, -0.1]))
+        with pytest.raises(ValueError):
+            JointDistribution(axes=((("A",), 2),), probabilities=np.array([np.nan, np.nan]))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -264,6 +275,50 @@ class TestJointDistribution:
         else:
             dist = joint_distribution([tuple(left), tuple(right)], ref)
             assert abs(float(dist.probabilities.sum()) - 1.0) < 1e-10
+
+
+class TestContractionMatchesProjectorRoute:
+    """The one-contraction table equals the projector-product trace."""
+
+    def assert_routes_agree(self, systems, ref, candidates=None):
+        got = joint_distribution(systems, ref, candidates=candidates)
+        expected = joint_distribution_by_projectors(systems, ref, candidates=candidates)
+        assert got.axes == expected.axes
+        assert_allclose(got.probabilities, expected.probabilities, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "systems",
+        [
+            [("M1",), ("M2",)],
+            [("M2",), ("M1",)],
+            [("P1", "M1"), ("M2",)],
+            [("M2", "P2"), ("P1",)],
+            [("P1",), ("M1",), ("P2",), ("M2",)],
+        ],
+    )
+    def test_spectral_candidates(self, systems):
+        self.assert_routes_agree(systems, _generic_evolved_system())
+
+    def test_supplied_candidates(self):
+        ref = _generic_evolved_system()
+        cands = [pointer_outcome_states("M2"), pointer_outcome_states("M1")]
+        self.assert_routes_agree([("M2",), ("M1",)], ref, cands)
+
+    def test_four_system_ancilla_table(self):
+        config = ExperimentConfig(a=0.6, b=0.8j, theta1=0.9, theta2=-2.3)
+        ref = ReferenceSystem(ancilla_experiment(config), isolated=True)
+        pointers = ("A1", "A2", "M1", "M2")
+        cands = [pointer_outcome_states(label) for label in pointers]
+        self.assert_routes_agree([(label,) for label in pointers], ref, cands)
+        self.assert_routes_agree([("P1", "M1"), ("A1",), ("M2",), ("A2",)], ref)
+
+    def test_random_states(self, rng):
+        space = SpaceRegistry([("A", 2), ("B", 3), ("C", 2), ("D", 2)])
+        for _ in range(5):
+            amps = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+            ref = ReferenceSystem(StateVector(space, amps, normalize=True), isolated=True)
+            self.assert_routes_agree([("C", "A"), ("D",)], ref)
+            self.assert_routes_agree([("B",), ("D",), ("A",)], ref)
 
 
 class TestSampling:
