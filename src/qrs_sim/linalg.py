@@ -9,6 +9,13 @@ single convention.  Every state the package evaluates is pure, so a local
 operator is applied by contracting its own axes of the amplitude tensor,
 never by widening it to the full space.
 
+A state, operator or density operator may carry one leading batch axis of
+length B >= 1 (amplitudes ``(B, dim)``, matrices ``(B, d, d)``); each check
+runs per member, and a failing member is named by its index.  Kernels work
+on a leading axis throughout, a single value being B = 1 squeezed on exit.
+``overlap``, ``density``, ``reorder``, ``tensor_product`` and
+``eig_hermitian`` take a single state and raise ``ValueError`` on a batch.
+
 Storage is dense only; the total composite dimension is capped at 4096.
 """
 
@@ -37,10 +44,30 @@ def _as_label_tuple(labels) -> tuple[str, ...]:
     return tuple(labels)
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two vectors via broadcasting; np.kron's
-    generality costs too much on the small vectors this package lives on."""
-    return (a[:, None] * b[None, :]).reshape(a.size * b.size)
+def _check(ok, error: type, message) -> None:
+    """Raise ``error(message(i))`` for the first member ``i`` failing ``ok``:
+    shape () for a single value (``i = ()``), (B,) for a batch (the message
+    then names ``i``).  Callers write ``ok`` so that NaN fails it."""
+    if not ok.all():
+        i = int(np.argmin(ok)) if np.ndim(ok) else ()
+        raise error((f"batch member {i}: " if np.ndim(ok) else "") + message(i))
+
+
+def _single(operation: str, *values) -> None:
+    """Reject a batch where ``operation`` is defined for a single value."""
+    for value in values:
+        batch = getattr(value, "batch", None)  # unset on a value built without __init__
+        if batch is not None:
+            raise ValueError(f"{operation} takes a single value, not a batch of {batch}")
+
+
+def _square(space: "SpaceRegistry", matrix) -> tuple[np.ndarray, int | None]:
+    """A read-only ``(d, d)`` matrix or ``(B, d, d)`` batch, and B or None."""
+    mat, d = np.array(matrix, dtype=complex), space.dim
+    if mat.ndim not in (2, 3) or mat.shape[-2:] != (d, d) or not mat.size:
+        raise ValueError(f"matrix shape {mat.shape} is not ({d}, {d}) or (B, {d}, {d})")
+    mat.flags.writeable = False
+    return mat, (len(mat) if mat.ndim == 3 else None)
 
 
 class SpaceRegistry:
@@ -110,47 +137,58 @@ class SpaceRegistry:
 
 
 class StateVector:
-    """Unit-norm complex amplitude vector over a registry's product basis.
+    """Unit-norm complex amplitude vector over a registry's product basis,
+    or a batch of them (``batch`` is B, None for a single state).
 
     The constructor rejects non-normalized input within 1e-12 unless
-    ``normalize=True`` is passed, in which case it rescales.  Instances are
-    immutable after construction.
+    ``normalize=True`` is passed, in which case it rescales finite, nonzero
+    input.  Instances are immutable after construction.
     """
 
-    __slots__ = ("space", "amplitudes")
+    __slots__ = ("space", "amplitudes", "batch")
 
     def __init__(self, space: SpaceRegistry, amplitudes, *, normalize: bool = False):
-        amps = np.array(amplitudes, dtype=complex).reshape(-1)
-        if amps.size != space.dim:
-            raise ValueError(
-                f"amplitude count {amps.size} does not match space dimension {space.dim}"
-            )
-        nrm = float(np.linalg.norm(amps))
+        amps = np.array(amplitudes, dtype=complex, order="C")
+        amps = amps.reshape(-1) if amps.ndim < 2 else amps
+        if amps.ndim > 2 or amps.shape[-1] != space.dim or not amps.size:
+            raise ValueError(f"amplitude shape {amps.shape} is not ({space.dim},) or (B, {space.dim})")
         if normalize:
-            if nrm == 0.0:
-                raise NotNormalized("cannot normalize a zero vector")
-            amps = amps / nrm
-        elif not abs(nrm - 1.0) <= NORM_TOL:
-            raise NotNormalized(f"state norm {nrm!r} deviates from 1 by more than {NORM_TOL}")
+            # dividing by the largest magnitude first keeps the norm finite
+            scale = np.abs(amps).max(axis=-1)
+            ok = np.isfinite(scale) & (scale > 0)
+            _check(ok, NotNormalized, lambda i: f"cannot normalize: largest magnitude {float(scale[i])!r}")
+            amps = amps / scale[..., None]
+            amps = amps / np.sqrt(np.einsum("...i,...i->...", amps.conj(), amps).real)[..., None]
+        flat = amps.view(float)  # real and imaginary parts side by side; no conjugate copy
+        nrm = np.sqrt((flat * flat).sum(axis=-1))
+        ok = np.abs(nrm - 1.0) <= NORM_TOL
+        _check(ok, NotNormalized, lambda i: f"state norm {float(nrm[i])!r} deviates from 1 by more than {NORM_TOL}")
         amps.flags.writeable = False
         self.space = space
         self.amplitudes = amps
+        self.batch = len(amps) if amps.ndim == 2 else None
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+    def norm(self) -> float | np.ndarray:
+        """Euclidean norm; one per member for a batch."""
+        if self.batch is None:
+            return float(np.linalg.norm(self.amplitudes))
+        return np.linalg.norm(self.amplitudes, axis=1)
 
     def overlap(self, other: "StateVector") -> complex:
         """Inner product <self|other>; both states must share the space."""
+        _single("overlap", self, other)
         if self.space != other.space:
             raise ValueError("overlap requires states on the same space")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def density(self) -> "DensityOperator":
         """The pure density operator |psi><psi|."""
+        _single("density", self)
         return DensityOperator(self.space, np.outer(self.amplitudes, self.amplitudes.conj()))
 
     def reorder(self, new_labels) -> "StateVector":
         """Same state expressed on a permuted registry order."""
+        _single("reorder", self)
         new_labels = _as_label_tuple(new_labels)
         if sorted(new_labels) != sorted(self.space.labels):
             raise UnknownLabel(
@@ -169,40 +207,37 @@ class StateVector:
 
 
 class Operator:
-    """Square complex matrix acting on a labeled space (no invariants
-    beyond shape; used for local unitaries)."""
+    """Square complex matrix, or a batch of them, acting on a labeled space
+    (no invariants beyond shape; used for local unitaries)."""
 
-    __slots__ = ("space", "matrix")
+    __slots__ = ("space", "matrix", "batch")
 
     def __init__(self, space: SpaceRegistry, matrix):
-        mat = np.array(matrix, dtype=complex)
-        if mat.shape != (space.dim, space.dim):
-            raise ValueError(f"matrix shape {mat.shape} does not match space dim {space.dim}")
-        mat.flags.writeable = False
         self.space = space
-        self.matrix = mat
+        self.matrix, self.batch = _square(space, matrix)
 
     def apply(self, state: StateVector) -> StateVector:
         """Apply to a state whose registry contains this operator's labels,
         in any placement and order, acting as the identity on every other
-        factor.  The operator's axes of the amplitude tensor are contracted
-        with the matrix and put back in place; no full-space matrix is
-        built.  The result must again be normalized (the package only ever
-        applies norm-preserving maps to states); a non-unitary application
-        raises NotNormalized."""
+        factor, a batch meeting a single state or an equal batch.  The
+        operator's axes of the amplitude tensor are moved to the front, hit
+        with one broadcasting matmul and moved back.  The result must again
+        be normalized (the package only ever applies norm-preserving maps to
+        states); a non-unitary application raises NotNormalized."""
         space = state.space
-        if self.space == space:
-            return StateVector(space, self.matrix @ state.amplitudes)
         axes = []
         for label, dim in self.space.entries:
             axis = space.axis(label)
             if space.dims[axis] != dim:
                 raise ValueError(f"dimension mismatch for label {label!r}")
-            axes.append(axis)
-        k = len(axes)
-        op = self.matrix.reshape(self.space.dims + self.space.dims)
-        moved = np.tensordot(op, state.amplitudes.reshape(space.dims), axes=(range(k, 2 * k), axes))
-        return StateVector(space, np.moveaxis(moved, range(k), axes).reshape(-1))
+            axes.append(1 + axis)
+        if None not in (self.batch, state.batch) and self.batch != state.batch:
+            raise ValueError(f"operator batch of {self.batch} does not match state batch of {state.batch}")
+        perm = [0] + axes + [i for i in range(1, len(space.dims) + 1) if i not in axes]
+        tensor = state.amplitudes.reshape(-1, *space.dims).transpose(perm)
+        moved = self.matrix @ tensor.reshape(len(tensor), self.space.dim, -1)
+        out = moved.reshape(-1, *tensor.shape[1:]).transpose(np.argsort(perm)).reshape(-1, space.dim)
+        return StateVector(space, out if self.batch or state.batch else out[0])
 
     def __repr__(self) -> str:
         return f"Operator({self.space!r})"
@@ -210,31 +245,28 @@ class Operator:
 
 class DensityOperator:
     """Hermitian, positive semidefinite, unit-trace operator on a labeled
-    space.  All three properties are checked at construction (Hermiticity
-    and trace within 1e-12, eigenvalues >= -1e-12)."""
+    space, or a batch of them.  All three are checked per member at
+    construction (Hermiticity and trace within 1e-12, eigenvalues >= -1e-12)."""
 
-    __slots__ = ("space", "matrix")
+    __slots__ = ("space", "matrix", "batch")
 
     def __init__(self, space: SpaceRegistry, matrix):
-        mat = np.array(matrix, dtype=complex)
-        if mat.shape != (space.dim, space.dim):
-            raise ValueError(f"matrix shape {mat.shape} does not match space dim {space.dim}")
+        mat, self.batch = _square(space, matrix)
         # every guard is written so that NaN fails it
-        herm_residual = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
-        if not herm_residual <= HERMITIAN_TOL:
-            raise NotHermitian(f"Hermiticity residual {herm_residual:.3e} exceeds {HERMITIAN_TOL}")
-        trace = complex(np.trace(mat))
-        if not abs(trace - 1.0) <= TRACE_TOL:
-            raise ValueError(f"trace {trace!r} deviates from 1 by more than {TRACE_TOL}")
-        smallest = float(np.linalg.eigvalsh(mat)[0])
-        if not smallest >= -PSD_TOL:
-            raise ValueError(f"negative eigenvalue {smallest:.3e} below -{PSD_TOL}")
-        mat.flags.writeable = False
+        herm = np.abs(mat - mat.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        ok = herm <= HERMITIAN_TOL
+        _check(ok, NotHermitian, lambda i: f"Hermiticity residual {herm[i]:.3e} exceeds {HERMITIAN_TOL}")
+        trace = np.trace(mat, axis1=-2, axis2=-1)
+        ok = np.abs(trace - 1.0) <= TRACE_TOL
+        _check(ok, ValueError, lambda i: f"trace {complex(trace[i])!r} deviates from 1 by more than {TRACE_TOL}")
+        smallest = np.linalg.eigvalsh(mat)[..., 0]
+        _check(smallest >= -PSD_TOL, ValueError, lambda i: f"negative eigenvalue {smallest[i]:.3e} below -{PSD_TOL}")
         self.space = space
         self.matrix = mat
 
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
+    def trace(self) -> float | np.ndarray:
+        trace = np.trace(self.matrix, axis1=-2, axis2=-1).real
+        return float(trace) if self.batch is None else trace
 
     def __repr__(self) -> str:
         return f"DensityOperator({self.space!r})"
@@ -271,13 +303,14 @@ def tensor_product(first: StateVector, second: StateVector, *rest: StateVector) 
     The result space is the concatenation of the registries in argument
     order; the norm is the product of the input norms.
     """
+    _single("tensor_product", first, second, *rest)
     out = first
     for factor in (second, *rest):
         shared = set(out.space.labels) & set(factor.space.labels)
         if shared:
             raise LabelCollision(f"labels {sorted(shared)} appear on both sides of the product")
         space = SpaceRegistry(out.space.entries + factor.space.entries)
-        out = StateVector(space, _kron(out.amplitudes, factor.amplitudes))
+        out = StateVector(space, np.multiply.outer(out.amplitudes, factor.amplitudes).reshape(-1))
     return out
 
 
@@ -285,29 +318,29 @@ def partial_trace(rho: DensityOperator | StateVector, keep) -> DensityOperator:
     """Trace out every label not listed in ``keep``.
 
     Accepts a density operator or, as a convenience, a pure state (treated
-    as |psi><psi| without materializing the full matrix).  The result acts
-    on the kept labels in registry order; trace and Hermiticity are
-    preserved.
+    as |psi><psi| without materializing the full matrix), single or
+    batched.  The result acts on the kept labels in registry order; trace
+    and Hermiticity are preserved.
     """
     space = rho.space
     kept = space.resolve(keep)
     if not kept:
         raise ValueError("keep must name at least one label")
     sub = space.restrict(kept)
+    kept_axes = [space.axis(label) for label in kept]
+    order = [1 + i for i in kept_axes + [i for i in range(len(space.dims)) if i not in kept_axes]]
+    dt = space.dim // sub.dim
     if isinstance(rho, StateVector):
-        tensor = rho.amplitudes.reshape(space.dims)
-        traced = [i for i, (label, _) in enumerate(space.entries) if label not in kept]
-        reduced = np.tensordot(tensor, tensor.conj(), axes=(traced, traced))
+        # (B, kept, traced) -> (B, dk, dt); the reduced state is m m^dagger
+        m = rho.amplitudes.reshape(-1, *space.dims).transpose([0] + order).reshape(-1, sub.dim, dt)
+        reduced = m @ m.conj().swapaxes(1, 2)
     else:
-        # (kept, traced, kept, traced) -> (dk, dt, dk, dt), then trace the
-        # two traced axes; no einsum index limit on the factor count
-        kept_axes = [space.axis(label) for label in kept]
-        order = kept_axes + [i for i in range(len(space.dims)) if i not in kept_axes]
+        # (B, kept, traced, kept, traced) -> (B, dk, dt, dk, dt), then trace
+        # the two traced axes; no einsum index limit on the factor count
         n = len(order)
-        tensor = rho.matrix.reshape(space.dims + space.dims).transpose(order + [n + i for i in order])
-        dt = space.dim // sub.dim
-        reduced = np.trace(tensor.reshape(sub.dim, dt, sub.dim, dt), axis1=1, axis2=3)
-    return DensityOperator(sub, reduced.reshape(sub.dim, sub.dim))
+        tensor = rho.matrix.reshape(-1, *space.dims, *space.dims).transpose([0] + order + [n + i for i in order])
+        reduced = np.trace(tensor.reshape(-1, sub.dim, dt, sub.dim, dt), axis1=2, axis2=4)
+    return DensityOperator(sub, reduced if rho.batch else reduced[0])
 
 
 def _phase_fixed(column: np.ndarray) -> np.ndarray:
@@ -333,6 +366,7 @@ def eig_hermitian(rho: DensityOperator, *, gap_threshold: float = DEGENERACY_GAP
     phase-fixed amplitudes.  ``degenerate`` is set when two eigenvalues sit
     closer than ``gap_threshold``.
     """
+    _single("eig_hermitian", rho)
     mat = rho.matrix
     herm_residual = float(np.max(np.abs(mat - mat.conj().T)))
     if not herm_residual <= HERMITIAN_TOL:
@@ -362,8 +396,11 @@ def eig_hermitian(rho: DensityOperator, *, gap_threshold: float = DEGENERACY_GAP
 
 def basis_state(space: SpaceRegistry, index: int | Sequence[int]) -> StateVector:
     """Standard basis vector, addressed by flat index or one index per factor."""
-    if not isinstance(index, (int, np.integer)):
-        index = int(np.ravel_multi_index(tuple(index), space.dims))
+    flat = isinstance(index, (int, float, np.number))
+    index, dims = ((index,), (space.dim,)) if flat else (tuple(index), space.dims)
+    if len(index) != len(dims) or not all(isinstance(i, (int, np.integer)) and 0 <= i < d for i, d in zip(index, dims)):
+        shown = (index[0], dims[0]) if flat else (index, dims)
+        raise ValueError("basis index %r is outside the integers 0 <= index < %r" % shown)
     amps = np.zeros(space.dim, dtype=complex)
-    amps[index] = 1.0
+    amps[np.ravel_multi_index(index, dims)] = 1.0
     return StateVector(space, amps)

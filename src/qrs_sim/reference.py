@@ -11,7 +11,9 @@ reference state is pure, that trace is evaluated as one contraction of the
 amplitude tensor with the candidate bras, ``sum_r |(<phi_1| ... <phi_k|)
 psi_r|^2`` over the remaining factors ``r``.  Disjointness is enforced:
 overlapping subsystems raise :class:`NonDisjointSystems` because no joint
-probability is defined for them.
+probability is defined for them.  A batched reference state gives a batch
+of tables; spectral candidates, single joint probabilities and sampling
+take a single state and raise ``ValueError`` on a batch.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from .linalg import (
     eig_hermitian,
     partial_trace,
     _as_label_tuple,
+    _check,
+    _single,
 )
 
 CANDIDATE_CUTOFF = 1e-12
@@ -81,11 +85,12 @@ class CandidateAssignment:
 
 @dataclass(frozen=True)
 class JointDistribution:
-    """Dense probability table over candidate indices of several subsystems.
+    """Dense probability table over candidate indices of several subsystems,
+    or a batch of them (one leading axis).
 
     ``axes`` pairs each subsystem's labels with its candidate count; the
     table axis order matches.  Entries are >= -1e-12 and sum to 1 within
-    1e-10 (checked at construction).
+    1e-10 (checked per member at construction).
     """
 
     axes: tuple[tuple[tuple[str, ...], int], ...]
@@ -94,21 +99,26 @@ class JointDistribution:
     def __post_init__(self):
         table = np.asarray(self.probabilities, dtype=float)
         expected = tuple(count for _, count in self.axes)
-        if table.shape != expected:
-            raise ValueError(f"table shape {table.shape} does not match axes {expected}")
-        # written so that NaN fails both guards
-        low = float(table.min())
-        if not low >= -PROB_CLAMP:
-            raise ValueError(f"negative probability {low:.3e} below -{PROB_CLAMP}")
-        total = float(table.sum())
-        if not abs(total - 1.0) <= TABLE_SUM_TOL:
-            raise ValueError(f"table sums to {total!r}, off from 1 by more than {TABLE_SUM_TOL}")
+        batched = table.ndim == len(expected) + 1
+        if table.shape[batched:] != expected or not table.size:
+            raise ValueError(f"table shape {table.shape} matches neither axes {expected} nor a batch of them")
+        # one value per member; written so that NaN fails both guards
+        members = tuple(range(batched, table.ndim))
+        low, total = table.min(axis=members), table.sum(axis=members)
+        _check(low >= -PROB_CLAMP, ValueError, lambda i: f"negative probability {low[i]:.3e} below -{PROB_CLAMP}")
+        ok = np.abs(total - 1.0) <= TABLE_SUM_TOL
+        _check(ok, ValueError, lambda i: f"table sums to {float(total[i])!r}, off from 1 by over {TABLE_SUM_TOL}")
         table = table.copy()
         table.flags.writeable = False
         object.__setattr__(self, "probabilities", table)
 
+    @property
+    def batch(self) -> int | None:
+        return len(self.probabilities) if self.probabilities.ndim > len(self.axes) else None
+
     def marginal(self, keep_axes: Sequence[int]) -> "JointDistribution":
         """Sum out every axis not listed; kept axes stay in ascending order."""
+        _single("JointDistribution.marginal", self)
         keep = sorted(set(int(i) for i in keep_axes))
         if not keep or any(i < 0 or i >= len(self.axes) for i in keep):
             raise ValueError(f"keep_axes {keep_axes} invalid for {len(self.axes)} axes")
@@ -119,6 +129,7 @@ class JointDistribution:
     def sample(self, seed: int, n: int = 1) -> list[tuple[int, ...]]:
         """Draw ``n`` index tuples by inverse-CDF sampling; deterministic
         for a fixed seed."""
+        _single("JointDistribution.sample", self)
         flat = np.clip(self.probabilities.reshape(-1), 0.0, None)
         cdf = np.cumsum(flat)
         cdf /= cdf[-1]
@@ -153,6 +164,7 @@ def internal_state_candidates(
     """
     if not reference.isolated:
         raise NotIsolated("internal-state candidates are defined only for isolated reference systems")
+    _single("internal_state_candidates", reference.state)
     spectrum = eig_hermitian(state_of(subsystem, reference))
     kept = [(value, state) for value, state in spectrum.pairs if value > cutoff]
     if not kept:
@@ -192,38 +204,40 @@ def _candidate_states(
     systems: list[tuple[str, ...]],
     reference: ReferenceSystem,
     candidates,
+    tensor: np.ndarray,
 ) -> list[tuple[StateVector, ...]]:
     """Candidate state lists per system, either spectral or caller-supplied.
 
-    Supplied candidates must live on the system's labels (registry order),
-    be orthonormal, and be eigenstates of the system's reduced state; this
-    is how scenario code pins a basis when the spectrum is degenerate.
+    Supplied candidates must be single states on the system's labels
+    (registry order), be orthonormal, and be eigenstates of the system's
+    reduced state in every member; this is how scenario code pins a basis
+    when the spectrum is degenerate.  The reduced states of each system are
+    one contraction of the ``(B, D_1, ..., D_k, R)`` amplitude ``tensor``.
     """
     if candidates is None:
         return [internal_state_candidates(system, reference).states for system in systems]
     if len(candidates) != len(systems):
         raise ValueError("candidates must align one list per system")
     out = []
-    for system, states in zip(systems, candidates):
+    for axis, (system, states) in enumerate(zip(systems, candidates), start=1):
         sub = reference.space.restrict(system)
-        rho = state_of(system, reference).matrix
+        name = "+".join(system)
         states = tuple(states)
         if not states:
-            raise ValueError(f"no candidates given for {'+'.join(system)}")
-        for m, phi in enumerate(states):
-            if phi.space != sub:
-                raise ValueError(
-                    f"candidate {m} for {'+'.join(system)} is on {phi.space!r}, expected {sub!r}"
-                )
-            image = rho @ phi.amplitudes
-            weight = complex(np.vdot(phi.amplitudes, image))
-            if float(np.linalg.norm(image - weight * phi.amplitudes)) > EIGENSTATE_TOL:
-                raise ValueError(
-                    f"candidate {m} for {'+'.join(system)} is not an eigenstate of the reduced state"
-                )
-            for other in states[:m]:
-                if abs(phi.overlap(other)) > EIGENSTATE_TOL:
-                    raise ValueError(f"candidates for {'+'.join(system)} are not orthogonal")
+            raise ValueError(f"no candidates given for {name}")
+        for k, phi in enumerate(states):
+            if phi.space != sub or phi.batch is not None:
+                raise ValueError(f"candidate {k} for {name} is on {phi.space!r}, expected one state on {sub!r}")
+        kets = np.array([phi.amplitudes for phi in states]).T
+        if not (np.abs(kets.conj().T @ kets - np.eye(len(states))) <= EIGENSTATE_TOL).all():
+            raise ValueError(f"candidates for {name} are not orthogonal")
+        # (B, D_i, rest): the order of the summed rest does not matter
+        m = tensor.swapaxes(1, axis).reshape(len(tensor), sub.dim, -1)
+        reduced = m @ m.conj().swapaxes(1, 2)
+        images = DensityOperator(sub, reduced if reference.state.batch else reduced[0]).matrix @ kets
+        weights = (kets.conj() * images).sum(axis=-2)
+        ok = np.linalg.norm(images - weights[..., None, :] * kets, axis=-2) <= EIGENSTATE_TOL
+        _check(ok.all(axis=-1), ValueError, lambda i: f"candidate {np.argmin(ok[i])} for {name} is not an eigenstate")
         out.append(states)
     return out
 
@@ -241,6 +255,7 @@ def joint_probability(
     The subsystems must be pairwise disjoint; any shared label raises
     :class:`NonDisjointSystems`.
     """
+    _single("joint_probability", reference.state)
     if not isinstance(assignment, CandidateAssignment):
         assignment = CandidateAssignment.of(*assignment)
     dist = joint_distribution(assignment.systems, reference, candidates=candidates)
@@ -255,29 +270,30 @@ def joint_probability(
 
 def joint_distribution(systems, reference: ReferenceSystem, *, candidates=None) -> JointDistribution:
     """Full probability table over all candidate index tuples of the given
-    pairwise-disjoint subsystems.  Sums to 1 within 1e-10."""
+    pairwise-disjoint subsystems, ``(B, n_1, ..., n_k)`` for a batched
+    reference state.  Sums to 1 within 1e-10."""
     if not reference.isolated:
         raise NotIsolated("joint probabilities are defined only for isolated reference systems")
     systems = _normalized_systems(systems, reference)
     if not systems:
         raise ValueError("at least one subsystem is required")
     _check_disjoint(systems)
-    states = _candidate_states(systems, reference, candidates)
-    # amplitude tensor as (D_1, ..., D_k, R): system axes first, each
-    # system's labels flattened in registry order, the rest last
+    # amplitude tensor as (B, D_1, ..., D_k, R), B = 1 for a single state:
+    # system axes first, each system's labels flattened in registry order
     space = reference.space
     front = [space.axis(label) for system in systems for label in system]
     rest = [i for i in range(len(space.dims)) if i not in front]
-    dims = tuple(options[0].space.dim for options in states)
-    tensor = reference.state.amplitudes.reshape(space.dims).transpose(front + rest).reshape(dims + (-1,))
-    # contracting the leading axis with each system's bras in turn leaves
-    # (R, n_1, ..., n_k)
+    tensor = reference.state.amplitudes.reshape(-1, *space.dims).transpose([0] + [1 + i for i in front + rest])
+    tensor = tensor.reshape(len(tensor), *(space.restrict(system).dim for system in systems), -1)
+    states = _candidate_states(systems, reference, candidates, tensor)
+    # contracting axis 1 with each system's bras in turn leaves
+    # (B, R, n_1, ..., n_k)
     for options in states:
         bras = np.array([phi.amplitudes for phi in options]).conj()
-        tensor = np.tensordot(tensor, bras, axes=(0, 1))
-    table = np.clip(np.sum(np.abs(tensor) ** 2, axis=0), 0.0, 1.0)
-    axes = tuple((system, n) for system, n in zip(systems, table.shape))
-    return JointDistribution(axes=axes, probabilities=table)
+        tensor = np.tensordot(tensor, bras, axes=(1, 1))
+    table = np.clip(np.sum(np.abs(tensor) ** 2, axis=1), 0.0, 1.0)
+    axes = tuple((system, n) for system, n in zip(systems, table.shape[1:]))
+    return JointDistribution(axes=axes, probabilities=table if reference.state.batch else table[0])
 
 
 def sample_assignment(
@@ -289,4 +305,5 @@ def sample_assignment(
 ) -> tuple[int, ...]:
     """Draw one candidate index tuple from the joint distribution;
     deterministic for a fixed seed."""
+    _single("sample_assignment", reference.state)
     return joint_distribution(systems, reference, candidates=candidates).sample(seed, 1)[0]

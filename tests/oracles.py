@@ -14,9 +14,9 @@ from qrs_sim.linalg import Operator, SpaceRegistry, StateVector
 from qrs_sim.reference import (
     JointDistribution,
     ReferenceSystem,
-    _candidate_states,
     _check_disjoint,
     _normalized_systems,
+    internal_state_candidates,
     state_of,
 )
 
@@ -71,7 +71,9 @@ def joint_distribution_by_projectors(systems, reference: ReferenceSystem, *, can
     if not systems:
         raise ValueError("at least one subsystem is required")
     _check_disjoint(systems)
-    states = _candidate_states(systems, reference, candidates)
+    if candidates is None:
+        candidates = [internal_state_candidates(system, reference).states for system in systems]
+    states = [tuple(options) for options in candidates]
     union = reference.space.resolve([label for system in systems for label in system])
     rho_union = state_of(union, reference)
     space = rho_union.space

@@ -496,3 +496,123 @@ class TestChsh:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             chsh("classical", (0, 0, 0, 0))
+
+
+class TestBatchedSettings:
+    """A config whose angles are tuples runs each route over all settings in
+    one call; every member equals the single-setting evaluation."""
+
+    @pytest.fixture
+    def rng(self):
+        return np.random.default_rng(25)
+
+    def batch_config(self, rng, n=12):
+        config = random_config(rng)
+        theta1 = tuple(rng.uniform(-2 * math.pi, 2 * math.pi, n))
+        theta2 = tuple(rng.uniform(-2 * math.pi, 2 * math.pi, n))
+        return ExperimentConfig(a=config.a, b=config.b, theta1=theta1, theta2=theta2)
+
+    def members(self, config):
+        return [
+            ExperimentConfig(a=config.a, b=config.b, theta1=t1, theta2=t2)
+            for t1, t2 in zip(*np.broadcast_arrays(config.theta1, config.theta2))
+        ]
+
+    def test_config_stores_batches_as_tuples(self):
+        config = ExperimentConfig(theta1=np.array([0.1, 0.2]), theta2=0.3)
+        assert config.theta1 == (0.1, 0.2) and config.theta2 == 0.3 and config.batch == 2
+        assert hash(config) == hash(ExperimentConfig(theta1=(0.1, 0.2), theta2=0.3))
+        assert ExperimentConfig().batch is None
+
+    def test_closed_forms_match_per_point_exactly(self, rng):
+        config = self.batch_config(rng)
+        broadcast = ExperimentConfig(a=config.a, b=config.b, theta1=config.theta1[0], theta2=config.theta2)
+        for route in (correlation_entangled, correlation_factorized):
+            for batch in (config, broadcast):
+                tables = route(batch).table
+                assert tables.shape == (12, 2, 2)
+                for table, member in zip(tables, self.members(batch)):
+                    assert np.array_equal(table, route(member).table)
+        # the per-point loop on the oracle overlaps, one setting at a time
+        c = np.diag(config.coefficients)
+        for table, member in zip(correlation_entangled(config).table, self.members(config)):
+            o1, o2 = overlap_matrix(member.theta1, 1), overlap_matrix(member.theta2, 2)
+            assert_allclose(table, np.abs(o1 @ c @ o2.T) ** 2, rtol=0, atol=1e-15)
+
+    def test_direct_route_matches_per_point(self, rng):
+        config = self.batch_config(rng)
+        direct = correlation_direct(config).table
+        closed = correlation_entangled(config).table
+        for i, member in enumerate(self.members(config)):
+            assert_allclose(direct[i], correlation_direct(member).table, rtol=0, atol=2e-15)
+        assert_allclose(direct, closed, rtol=0, atol=1e-12)
+
+    def test_states_unitaries_and_marginals_match_per_point(self, rng):
+        config = self.batch_config(rng, n=5)
+        final = evolve_experiment(config)
+        unitaries = measurement_unitary(config.theta1, "P1", "M1").matrix
+        marginals = device_marginal(final, 2)
+        intuitive = intuitive_joint(config)
+        correlators = correlator(correlation_entangled(config))
+        for i, member in enumerate(self.members(config)):
+            single = evolve_experiment(member)
+            assert_allclose(final.amplitudes[i], single.amplitudes, rtol=0, atol=1e-15)
+            assert np.array_equal(unitaries[i], measurement_unitary(member.theta1, "P1", "M1").matrix)
+            assert_allclose(marginals[i], device_marginal(single, 2), rtol=0, atol=1e-15)
+            assert np.array_equal(intuitive[i], intuitive_joint(member))
+            assert correlators[i] == correlator(correlation_entangled(member))
+
+    def test_chsh_batch_matches_per_point(self, rng):
+        config = random_config(rng)
+        quads = rng.uniform(-2 * math.pi, 2 * math.pi, size=(4, 15))
+        s = {kind: chsh(kind, tuple(quads), config.a, config.b) for kind in ("entangled", "factorized", "direct")}
+        for j in range(15):
+            quad = tuple(float(x) for x in quads[:, j])
+            for kind in ("entangled", "factorized"):
+                assert s[kind][j] == chsh(kind, quad, config.a, config.b)
+            assert abs(s["direct"][j] - chsh("direct", quad, config.a, config.b)) <= 2e-15
+        assert np.max(np.abs(s["direct"] - s["entangled"])) <= 1e-12
+        # scalar angles give a float, a mix of scalars and arrays broadcasts
+        assert isinstance(chsh("entangled", (0.0, 1.0, 2.0, 3.0)), float)
+        mixed = chsh("entangled", (0.0, 1.0, quads[2], quads[3]))
+        assert mixed.shape == (15,)
+        with pytest.raises(ValueError):
+            chsh("entangled", (0.0, 1.0, np.zeros((2, 2)), 0.0))
+
+    @pytest.mark.parametrize(
+        "kwargs,named",
+        [
+            ({"theta1": float("nan")}, "theta1 = nan"),
+            ({"theta2": float("inf")}, "theta2 = inf"),
+            ({"theta1": (0.1, float("-inf"), 0.2)}, "batch member 1: theta1 = -inf"),
+            ({"theta1": (0.1, 0.2), "theta2": (0.1, 0.2, 0.3)}, "differ in length"),
+            ({"theta2": ()}, "theta2"),
+            ({"theta1": [[0.1, 0.2]]}, "theta1"),
+            ({"theta1": [0.1, [0.2, 0.3]]}, "theta1"),
+            ({"theta2": "up"}, "theta2"),
+        ],
+    )
+    def test_config_rejects_bad_angles(self, kwargs, named):
+        with pytest.raises(ValueError) as excinfo:
+            ExperimentConfig(**kwargs)
+        assert named in str(excinfo.value)
+
+    def test_correlation_table_checks_name_the_member(self):
+        good = np.full((2, 2), 0.25)
+        with pytest.raises(ValueError, match="batch member 2"):
+            CorrelationTable(((0.0,) * 3, (0.0,) * 3), [good, good, np.diag([1.5, -0.5])], "direct")
+        with pytest.raises(ValueError, match="batch member 0"):
+            CorrelationTable(((0.0,), (0.0,)), [np.full((2, 2), np.nan)], "direct")
+
+    def test_ancilla_functions_reject_batches(self):
+        config = ExperimentConfig(theta1=(0.1, 0.2), theta2=0.3)
+        calls = [
+            ("ancilla_candidate_states", lambda: ancilla_candidate_states(config, 1)),
+            ("ancilla_candidate_states", lambda: ancilla_recording_unitary(config, 2)),
+            ("ancilla_experiment", lambda: ancilla_experiment(config)),
+            ("ancilla_experiment", lambda: ancilla_joint_distribution(config)),
+            ("ancilla_experiment", lambda: ancilla_device_table(config)),
+        ]
+        for name, call in calls:
+            with pytest.raises(ValueError, match=f"{name} takes a single value, not a batch of 2"):
+                call()

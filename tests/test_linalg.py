@@ -127,8 +127,12 @@ class TestStateVector:
         space = SpaceRegistry([("A", 2)])
         state = StateVector(space, [3.0, 4.0], normalize=True)
         assert_allclose(state.amplitudes, [0.6, 0.8])
-        with pytest.raises(NotNormalized):
-            StateVector(space, [0.0, 0.0], normalize=True)
+        for amplitudes in ([0.0, 0.0], [float("nan"), 0.0], [float("inf"), 0.0], [-float("inf"), 1.0]):
+            with pytest.raises(NotNormalized):
+                StateVector(space, amplitudes, normalize=True)
+        # the norm of these overflows; scaling by the largest magnitude first does not
+        huge = StateVector(space, [1e308, 1e308], normalize=True)
+        assert_allclose(huge.amplitudes, [2**-0.5, 2**-0.5], rtol=0, atol=1e-15)
 
     def test_wrong_length(self):
         with pytest.raises(ValueError):
@@ -155,6 +159,24 @@ class TestStateVector:
         state = basis_state(SpaceRegistry([("A", 2), ("B", 2)]), 0)
         with pytest.raises(UnknownLabel):
             state.reorder(("A", "C"))
+
+
+class TestBasisState:
+    def test_flat_and_per_factor_index(self):
+        space = SpaceRegistry([("A", 2), ("B", 3)])
+        assert_allclose(basis_state(space, 4).amplitudes, np.eye(6)[4])
+        assert_allclose(basis_state(space, (1, 1)).amplitudes, np.eye(6)[4])
+
+    @pytest.mark.parametrize(
+        "index,named", [(-1, "-1"), (6, "6"), ((-1, 0), "(-1, 0)"), ((0, 3), "(0, 3)"), ((0,), "(0,)"), (0.5, "0.5")]
+    )
+    def test_index_out_of_range(self, index, named):
+        space = SpaceRegistry([("A", 2), ("B", 3)])
+        with pytest.raises(ValueError, match="outside") as excinfo:
+            basis_state(space, index)
+        message = str(excinfo.value)
+        assert named in message
+        assert ("(2, 3)" if isinstance(index, tuple) else "< 6") in message
 
 
 class TestDensityOperator:
@@ -449,3 +471,86 @@ class TestOperatorApply:
         op = Operator(SpaceRegistry([("B", 2)]), 2 * np.eye(2))
         with pytest.raises(NotNormalized):
             op.apply(random_state(SpaceRegistry([("A", 2), ("B", 2)]), rng))
+
+
+class TestBatches:
+    """A leading batch axis: per-member checks, kernels that carry the
+    batch, and single-state operations that refuse it."""
+
+    def test_state_checks_name_the_member(self, rng):
+        space = SpaceRegistry([("A", 2)])
+        batch = StateVector(space, [[0.6, 0.8], [1.0, 0.0]])
+        assert batch.batch == 2 and batch.amplitudes.shape == (2, 2)
+        assert_allclose(batch.norm(), [1.0, 1.0], atol=1e-15)
+        with pytest.raises(NotNormalized, match="batch member 1"):
+            StateVector(space, [[0.6, 0.8], [1.0, 1.0]])
+        with pytest.raises(NotNormalized, match="batch member 2"):
+            StateVector(space, [[3.0, 4.0], [1.0, 0.0], [np.nan, 0.0]], normalize=True)
+        scaled = StateVector(space, [[3.0, 4.0], [0.0, 2.0]], normalize=True)
+        assert_allclose(scaled.amplitudes, [[0.6, 0.8], [0.0, 1.0]], atol=1e-15)
+        for amplitudes in (np.zeros((0, 2)), np.zeros((2, 2, 2))):
+            with pytest.raises(ValueError):
+                StateVector(space, amplitudes)
+
+    def test_density_checks_name_the_member(self):
+        space = SpaceRegistry([("A", 2)])
+        good = np.diag([0.3, 0.7])
+        assert DensityOperator(space, [good, good]).batch == 2
+        cases = [([[0.5, 0.5], [0.0, 0.5]], NotHermitian), (np.eye(2), ValueError), (np.diag([1.5, -0.5]), ValueError)]
+        for bad, error in cases:
+            with pytest.raises(error, match="batch member 1"):
+                DensityOperator(space, [good, bad, good])
+
+    @pytest.mark.parametrize("op_batched,state_batched", [(True, False), (True, True), (False, True)])
+    def test_apply_matches_each_member(self, op_batched, state_batched, rng):
+        full = SpaceRegistry([("A", 2), ("B", 3), ("C", 2)])
+        sub = SpaceRegistry([("C", 2), ("A", 2)])
+        n = 4
+        ops = [random_unitary(sub.dim, rng) for _ in range(n)]
+        states = [random_state(full, rng) for _ in range(n)]
+        op = Operator(sub, ops if op_batched else ops[0])
+        psi = StateVector(full, [s.amplitudes for s in states]) if state_batched else states[0]
+        moved = op.apply(psi)
+        assert moved.batch == n
+        for i in range(n):
+            single = Operator(sub, ops[i if op_batched else 0]).apply(states[i if state_batched else 0])
+            assert_allclose(moved.amplitudes[i], single.amplitudes, rtol=0, atol=1e-15)
+
+    def test_apply_rejects_unequal_batches(self, rng):
+        full = SpaceRegistry([("A", 2), ("B", 2)])
+        op = Operator(SpaceRegistry([("A", 2)]), [np.eye(2)] * 3)
+        psi = StateVector(full, [random_state(full, rng).amplitudes for _ in range(2)])
+        with pytest.raises(ValueError, match="batch"):
+            op.apply(psi)
+
+    def test_partial_trace_matches_each_member(self, rng):
+        space = SpaceRegistry([("A", 2), ("B", 3), ("C", 2)])
+        states = [random_state(space, rng) for _ in range(3)]
+        batch = StateVector(space, [s.amplitudes for s in states])
+        densities = DensityOperator(space, [s.density().matrix for s in states])
+        for keep in (["A"], ["C", "A"], ["B"]):
+            from_states, from_densities = partial_trace(batch, keep), partial_trace(densities, keep)
+            assert from_states.batch == from_densities.batch == 3
+            for i, state in enumerate(states):
+                expected = partial_trace(state, keep).matrix
+                assert_allclose(from_states.matrix[i], expected, rtol=0, atol=1e-15)
+                assert_allclose(from_densities.matrix[i], expected, rtol=0, atol=1e-12)
+            assert_allclose(from_states.trace(), [1.0] * 3, atol=1e-12)
+
+    def test_single_state_operations_reject_batches(self, rng):
+        space = SpaceRegistry([("A", 2)])
+        batch = StateVector(space, [[1.0, 0.0], [0.0, 1.0]])
+        single = basis_state(space, 0)
+        other = basis_state(SpaceRegistry([("B", 2)]), 0)
+        rho = DensityOperator(space, [np.eye(2) / 2] * 2)
+        calls = [
+            ("overlap", lambda: batch.overlap(single)),
+            ("overlap", lambda: single.overlap(batch)),
+            ("density", batch.density),
+            ("reorder", lambda: batch.reorder(("A",))),
+            ("tensor_product", lambda: tensor_product(other, batch)),
+            ("eig_hermitian", lambda: eig_hermitian(rho)),
+        ]
+        for name, call in calls:
+            with pytest.raises(ValueError, match=f"{name} takes a single value, not a batch of 2"):
+                call()

@@ -351,3 +351,82 @@ class TestSampling:
     def test_batched_draws_reproducible(self):
         dist = joint_distribution([("P1",), ("P2",)], pair_system())
         assert dist.sample(7, 200) == dist.sample(7, 200)
+
+
+def evolved_batch(rng, n=6):
+    """One evolved (P1, M1, P2, M2) state per random setting, as a batch."""
+    a, b = 0.6, 0.8j
+    config = ExperimentConfig(a=a, b=b, theta1=tuple(rng.uniform(-3, 3, n)), theta2=tuple(rng.uniform(-3, 3, n)))
+    return evolve_experiment(config)
+
+
+class TestBatchedJointDistribution:
+    def test_members_match_projector_oracle(self, rng):
+        batch = evolved_batch(rng)
+        ref = ReferenceSystem(batch, isolated=True)
+        for systems in ([("M1",), ("M2",)], [("M2",), ("M1",)], [("M1",)]):
+            cands = [pointer_outcome_states(labels[0]) for labels in systems]
+            dist = joint_distribution(systems, ref, candidates=cands)
+            assert dist.batch == batch.batch and dist.probabilities.shape == (batch.batch,) + (2,) * len(systems)
+            for i, amps in enumerate(batch.amplitudes):
+                member = ReferenceSystem(StateVector(batch.space, amps), isolated=True)
+                expected = joint_distribution_by_projectors(systems, member, candidates=cands)
+                assert dist.axes == expected.axes
+                assert_allclose(dist.probabilities[i], expected.probabilities, rtol=0, atol=1e-12)
+
+    def test_four_system_batch_matches_oracle(self):
+        angles = ((0.9, -2.3), (0.0, 1.5), (2.2, 0.4))
+        configs = [ExperimentConfig(a=0.6, b=0.8j, theta1=t1, theta2=t2) for t1, t2 in angles]
+        states = [ancilla_experiment(config) for config in configs]
+        batch = ReferenceSystem(StateVector(states[0].space, [s.amplitudes for s in states]), isolated=True)
+        pointers = ("A1", "A2", "M1", "M2")
+        cands = [pointer_outcome_states(label) for label in pointers]
+        dist = joint_distribution([(label,) for label in pointers], batch, candidates=cands)
+        for i, state in enumerate(states):
+            expected = joint_distribution_by_projectors(
+                [(label,) for label in pointers], ReferenceSystem(state, isolated=True), candidates=cands
+            )
+            assert_allclose(dist.probabilities[i], expected.probabilities, rtol=0, atol=1e-12)
+
+    def test_member_without_the_candidate_eigenbasis_is_named(self, rng):
+        good = evolved_batch(rng, n=3)
+        space = good.space
+        tilted = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+        amps = np.array(good.amplitudes)
+        amps[2] = tilted / np.linalg.norm(tilted)
+        ref = ReferenceSystem(StateVector(space, amps), isolated=True)
+        with pytest.raises(ValueError, match="batch member 2: candidate 0 for M1 is not an eigenstate"):
+            joint_distribution(
+                [("M1",), ("M2",)], ref, candidates=[pointer_outcome_states("M1"), pointer_outcome_states("M2")]
+            )
+
+    def test_table_checks_name_the_member(self):
+        axes = ((("A",), 2),)
+        assert JointDistribution(axes, np.array([[0.5, 0.5], [1.0, 0.0]])).batch == 2
+        for bad in ([0.9, 0.3], [1.1, -0.1], [np.nan, np.nan]):
+            with pytest.raises(ValueError, match="batch member 1"):
+                JointDistribution(axes, np.array([[0.5, 0.5], bad]))
+        with pytest.raises(ValueError, match="shape"):
+            JointDistribution(axes, np.zeros((2, 2, 2)))
+
+    def test_single_state_operations_reject_batches(self, rng):
+        ref = ReferenceSystem(evolved_batch(rng, n=2), isolated=True)
+        dist = joint_distribution(
+            [("M1",), ("M2",)], ref, candidates=[pointer_outcome_states("M1"), pointer_outcome_states("M2")]
+        )
+        calls = [
+            ("internal_state_candidates", lambda: internal_state_candidates("M1", ref)),
+            ("internal_state_candidates", lambda: joint_distribution([("M1",), ("M2",)], ref)),
+            ("joint_probability", lambda: joint_probability([("M1", 0)], ref)),
+            ("sample_assignment", lambda: sample_assignment([("M1",)], ref, seed=1)),
+            ("JointDistribution.marginal", lambda: dist.marginal([0])),
+            ("JointDistribution.sample", lambda: dist.sample(1)),
+        ]
+        for name, call in calls:
+            with pytest.raises(ValueError, match=f"{name} takes a single value, not a batch of 2"):
+                call()
+        # supplied candidates are single states even for a batched reference
+        m1 = pointer_outcome_states("M1")
+        stacked = StateVector(m1[0].space, [m1[0].amplitudes, m1[0].amplitudes])
+        with pytest.raises(ValueError, match="expected one state"):
+            joint_distribution([("M1",)], ref, candidates=[(stacked, m1[1])])
