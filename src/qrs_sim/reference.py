@@ -14,6 +14,10 @@ overlapping subsystems raise :class:`NonDisjointSystems` because no joint
 probability is defined for them.  A batched reference state gives a batch
 of tables; spectral candidates, single joint probabilities and sampling
 take a single state and raise ``ValueError`` on a batch.
+
+A table is sampled by one seeded inverse-CDF draw of flat cell indices,
+read either as index tuples (:meth:`JointDistribution.sample`) or counted
+per cell into empirical frequencies (:meth:`JointDistribution.frequencies`).
 """
 
 from __future__ import annotations
@@ -126,18 +130,36 @@ class JointDistribution:
         table = self.probabilities.sum(axis=drop) if drop else self.probabilities
         return JointDistribution(tuple(self.axes[i] for i in keep), table)
 
-    def sample(self, seed: int, n: int = 1) -> list[tuple[int, ...]]:
-        """Draw ``n`` index tuples by inverse-CDF sampling; deterministic
-        for a fixed seed."""
-        _single("JointDistribution.sample", self)
+    def _draws(self, seed: int, n: int) -> np.ndarray:
+        """Flat cell indices of ``n`` inverse-CDF draws; deterministic for a
+        fixed seed."""
+        for name, value in (("seed", seed), ("n", n)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+                raise ValueError(f"{name} must be a non-negative integer (not a bool), got {value!r}")
         flat = np.clip(self.probabilities.reshape(-1), 0.0, None)
         cdf = np.cumsum(flat)
         cdf /= cdf[-1]
         rng = np.random.default_rng(seed)
         picks = np.searchsorted(cdf, rng.random(int(n)), side="right")
-        picks = np.minimum(picks, flat.size - 1)
-        shape = self.probabilities.shape
-        return [tuple(int(i) for i in np.unravel_index(p, shape)) for p in picks]
+        return np.minimum(picks, flat.size - 1)
+
+    def sample(self, seed: int, n: int = 1) -> list[tuple[int, ...]]:
+        """Draw ``n`` index tuples by inverse-CDF sampling; deterministic
+        for a fixed seed."""
+        _single("JointDistribution.sample", self)
+        indices = np.unravel_index(self._draws(seed, n), self.probabilities.shape)
+        return list(zip(*(axis.tolist() for axis in indices)))
+
+    def frequencies(self, seed: int, n: int) -> np.ndarray:
+        """Share of ``n`` draws that land in each cell, a table shaped like
+        ``probabilities``; the draws are those of ``sample(seed, n)``,
+        counted without building their index tuples."""
+        _single("JointDistribution.frequencies", self)
+        picks = self._draws(seed, n)
+        if not picks.size:
+            raise ValueError("n must be at least 1 to take frequencies, got 0")
+        counts = np.bincount(picks, minlength=self.probabilities.size)
+        return counts.reshape(self.probabilities.shape) / float(n)
 
 
 def state_of(subsystem, reference: ReferenceSystem) -> DensityOperator:

@@ -5,6 +5,8 @@ axes of the pure-state amplitude tensor.  The routes below do the same work
 the long way: an operator is widened to the full space by the identity on
 every other factor, and a joint table is the trace of a product of embedded
 candidate projectors against the reduced state of the union of the systems.
+Sampling is likewise checked against drawing one index tuple per pick and
+counting the tuples one at a time.
 """
 
 import numpy as np
@@ -88,3 +90,23 @@ def joint_distribution_by_projectors(systems, reference: ReferenceSystem, *, can
     table = np.clip(table, 0.0, 1.0)
     axes = tuple((system, n) for system, n in zip(systems, shape))
     return JointDistribution(axes=axes, probabilities=table)
+
+
+def sample_by_picks(dist: JointDistribution, seed, n: int = 1) -> list[tuple[int, ...]]:
+    """``n`` inverse-CDF draws, unravelled one pick at a time."""
+    flat = np.clip(dist.probabilities.reshape(-1), 0.0, None)
+    cdf = np.cumsum(flat)
+    cdf /= cdf[-1]
+    rng = np.random.default_rng(seed)
+    picks = np.searchsorted(cdf, rng.random(int(n)), side="right")
+    picks = np.minimum(picks, flat.size - 1)
+    shape = dist.probabilities.shape
+    return [tuple(int(i) for i in np.unravel_index(p, shape)) for p in picks]
+
+
+def count_draws(draws, shape, n: int) -> np.ndarray:
+    """Empirical frequencies of index-tuple ``draws``, counted draw by draw."""
+    counts = np.zeros(shape, dtype=float)
+    for index in draws:
+        counts[index] += 1.0
+    return counts / float(n)

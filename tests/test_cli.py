@@ -116,6 +116,27 @@ class TestParsing:
         assert spec.b == 0.8 + 0j
         assert spec.theta2 == 0.5
 
+    def test_parses_are_independent(self, tmp_path):
+        first_file, second_file = tmp_path / "first.cfg", tmp_path / "second.cfg"
+        first_file.write_text("scenario = bell\nsamples = 7\nseed = 3\n")
+        second_file.write_text("scenario = pair-correlations\na = 0.6\nb = 0.8\n")
+        first = parse_config(["run", "--config", str(first_file), "--theta1", "0.5"])
+        second = parse_config(["run", "--config", str(second_file), "--format", "csv"])
+        assert (first.scenario, first.samples, first.seed, first.theta1, first.format) == ("bell", 7, 3, 0.5, "json")
+        assert (second.scenario, second.samples, second.seed, second.theta1, second.format) == (
+            "pair-correlations", 0, 0, 0.0, "csv"
+        )
+        assert (second.a, second.b) == (0.6, 0.8)
+        assert parse_config(["run", "--config", str(first_file), "--theta1", "0.5"]) == first
+
+    def test_negative_values_in_space_separated_form(self):
+        spec = parse_config(["run", "--scenario", "bell", "--a", "0.6", "--b", "-0.8,0", "--theta1", "-1e-3"])
+        assert (spec.b, spec.theta1) == (-0.8 + 0j, -1e-3)
+        spec = parse_config(["run", "--scenario", "chsh-scan", "--grid", "-1,1,3", "--angles", "-.5,0,1,2"])
+        assert spec.grid == (-1.0, 1.0, 3) and spec.angles == (-0.5, 0.0, 1.0, 2.0)
+        with pytest.raises(ConfigError, match="seed"):
+            parse_config(["run", "--scenario", "bell", "--seed", "-1,0"])
+
     def test_config_file_unknown_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("scenario = bell\nbogus = 1\n")
@@ -275,6 +296,19 @@ class TestMain:
         assert code == 1
         err = capsys.readouterr().err
         assert "invariant failure" in err and "1.000e-09" in err
+
+    @pytest.mark.parametrize(
+        "flags", [["--scenario", "chsh-scan", "--grid", "-1,1,3"], ["--scenario", "bell", "--a", "0.6", "--b", "-0.8,0"]]
+    )
+    def test_negative_values_exit_code(self, flags, capsys):
+        assert main(["run", *flags]) == 0
+        spaced = capsys.readouterr()
+        joined = [f"{flag}={value}" for flag, value in zip(flags[::2], flags[1::2])]
+        assert main(["run", *joined]) == 0
+        assert capsys.readouterr() == spaced
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", *flags, "--frequency", "-40"])
+        assert excinfo.value.code == 2
 
     def test_argparse_rejects_unknown_flag(self):
         with pytest.raises(SystemExit) as excinfo:

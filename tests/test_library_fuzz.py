@@ -31,6 +31,16 @@ REALS = st.one_of(SPECIAL, st.floats(allow_nan=True, allow_infinity=True))
 COMPLEX = st.builds(complex, REALS, st.one_of(st.just(0.0), REALS))
 SPACE = SpaceRegistry([("A", 2), ("B", 3)])
 FUZZ = settings(max_examples=100, deadline=None)
+#: seeds and draw counts: negative, bool, float and huge; a count between
+#: 3000 and 2**62 is left out because it may allocate gigabytes before
+#: anything refuses it, where 2**62 and more cannot be shaped at all
+SAMPLER_ARGUMENTS = st.one_of(
+    st.integers(-3, 3000),
+    st.sampled_from([2**62, 2**63, 2**64, 10**30]),
+    st.booleans(),
+    REALS,
+)
+SAMPLER_SEEDS = st.one_of(SAMPLER_ARGUMENTS, st.integers(-(2**70), 2**70))
 
 # the inputs are non-finite or overflowing on purpose; numpy's floating-point
 # warnings on the way to a refusal are expected, the refusal is what is checked
@@ -138,3 +148,21 @@ class TestLibraryFuzz:
             if accepted is not None:
                 assert np.all(np.isfinite(accepted))
                 assert np.all(np.abs(accepted.sum(axis=(-2, -1)) - 1.0) <= 1e-10)
+
+    @FUZZ
+    @given(seed=SAMPLER_SEEDS, n=SAMPLER_ARGUMENTS)
+    def test_sampler_arguments(self, seed, n):
+        dist = JointDistribution(((("A",), 2), (("B",), 3)), np.array([[0.1, 0.0, 0.2], [0.3, 0.4, 0.0]]))
+        draws = refused(lambda: dist.sample(seed, n))
+        freq = refused(lambda: dist.frequencies(seed, n))
+        valid = all(type(value) is int and value >= 0 for value in (seed, n))
+        if not valid or n >= 2**62:
+            assert draws is None and freq is None
+            return
+        assert len(draws) == n and all(dist.probabilities[index] > 0 for index in draws)
+        if n == 0:
+            assert freq is None
+        else:
+            assert freq.shape == (2, 3) and abs(freq.sum() - 1.0) <= 1e-12
+            counts = np.array([[draws.count((j, k)) for k in range(3)] for j in range(2)])
+            assert np.array_equal(freq, counts / n)

@@ -30,7 +30,7 @@ from qrs_sim.bell import (
     pointer_outcome_states,
 )
 
-from oracles import joint_distribution_by_projectors
+from oracles import count_draws, joint_distribution_by_projectors, sample_by_picks
 
 
 def post_measurement_system(alpha=0.6, beta=0.8):
@@ -321,6 +321,29 @@ class TestContractionMatchesProjectorRoute:
             self.assert_routes_agree([("B",), ("D",), ("A",)], ref)
 
 
+def _ancilla_table():
+    state = ancilla_experiment(ExperimentConfig(a=0.6, b=0.8j, theta1=0.9, theta2=-2.3))
+    pointers = ("A1", "A2", "M1", "M2")
+    cands = [pointer_outcome_states(label) for label in pointers]
+    return joint_distribution([(label,) for label in pointers], ReferenceSystem(state, isolated=True), candidates=cands)
+
+
+def _table(*values):
+    table = np.array(values)
+    axes = tuple(((label,), count) for label, count in zip("ABCD", table.shape))
+    return JointDistribution(axes, table)
+
+
+#: 1-, 2- and 4-axis tables with zero cells (one just below zero, which the
+#: sampler clips), and a table concentrated on its last cell
+SAMPLING_TABLES = {
+    "1-axis": lambda: _table(0.2, 0.0, 0.8),
+    "2-axis": lambda: _table([0.0, 0.3, -1e-13], [0.25, 0.0, 0.45 + 1e-13]),
+    "4-axis": _ancilla_table,
+    "concentrated": lambda: _table([0.0, 0.0, 0.0], [0.0, 0.0, 1.0]),
+}
+
+
 class TestSampling:
     def test_deterministic_for_fixed_seed(self):
         ref = pair_system()
@@ -351,6 +374,28 @@ class TestSampling:
     def test_batched_draws_reproducible(self):
         dist = joint_distribution([("P1",), ("P2",)], pair_system())
         assert dist.sample(7, 200) == dist.sample(7, 200)
+
+    @pytest.mark.parametrize("name", sorted(SAMPLING_TABLES))
+    def test_views_match_per_pick_oracle(self, name):
+        dist = SAMPLING_TABLES[name]()
+        shape = dist.probabilities.shape
+        for seed in range(50):
+            for n in (1, 2, 999, 4000):
+                draws = sample_by_picks(dist, seed, n)
+                assert dist.sample(seed, n) == draws
+                assert np.array_equal(dist.frequencies(seed, n), count_draws(draws, shape, n))
+
+    def test_arguments_checked(self):
+        dist = SAMPLING_TABLES["2-axis"]()
+        assert dist.sample(1, 0) == []
+        assert dist.sample(np.int64(3), np.uint16(4)) == dist.sample(3, 4)
+        for seed, n, name in ((-1, 5, "seed"), (1, -1, "n"), (1, 2.7, "n"), (1.5, 3, "seed"),
+                              (True, 3, "seed"), (1, False, "n"), (None, 3, "seed"), (1, "5", "n")):
+            for call in (dist.sample, dist.frequencies):
+                with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer \\(not a bool\\)"):
+                    call(seed, n)
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            dist.frequencies(1, 0)
 
 
 def evolved_batch(rng, n=6):
@@ -421,6 +466,7 @@ class TestBatchedJointDistribution:
             ("sample_assignment", lambda: sample_assignment([("M1",)], ref, seed=1)),
             ("JointDistribution.marginal", lambda: dist.marginal([0])),
             ("JointDistribution.sample", lambda: dist.sample(1)),
+            ("JointDistribution.frequencies", lambda: dist.frequencies(1, 5)),
         ]
         for name, call in calls:
             with pytest.raises(ValueError, match=f"{name} takes a single value, not a batch of 2"):
