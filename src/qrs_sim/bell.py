@@ -38,7 +38,7 @@ from .linalg import (
     partial_trace,
     tensor_product,
 )
-from .reference import JointDistribution, ReferenceSystem, joint_distribution
+from .reference import JointDistribution, ReferenceSystem, _probability_table, joint_distribution
 
 ROOT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -52,8 +52,6 @@ READY = 0
 PAIR_BASIS = {1: (0, 1), 2: (1, 0)}
 
 COEFF_TOL = 1e-12
-TABLE_SUM_TOL = 1e-10
-ENTRY_TOL = 1e-12
 
 TABLE_KINDS = ("entangled", "factorized", "direct", "empirical")
 
@@ -90,10 +88,10 @@ class ExperimentConfig:
             total = abs(self.a) ** 2 + abs(self.b) ** 2
         except OverflowError:
             raise NotNormalized(
-                f"|a|^2 + |b|^2 overflows for a = {self.a!r}, b = {self.b!r}"
+                f"|a|^2 + |b|^2 overflows for a = {self.a!r}, b = {self.b!r}; it must be 1 within {COEFF_TOL}"
             ) from None
         if not abs(total - 1.0) <= COEFF_TOL:
-            raise NotNormalized(f"|a|^2 + |b|^2 = {total!r} deviates from 1 by more than {COEFF_TOL}")
+            raise NotNormalized(f"|a|^2 + |b|^2 = {total!r} must be 1 within {COEFF_TOL}")
         for name in ("theta1", "theta2"):
             value = getattr(self, name)
             try:
@@ -133,16 +131,7 @@ class CorrelationTable:
     def __post_init__(self):
         if self.kind not in TABLE_KINDS:
             raise ValueError(f"kind must be one of {TABLE_KINDS}, got {self.kind!r}")
-        table = np.asarray(self.table, dtype=float)
-        if table.ndim not in (2, 3) or table.shape[-2:] != (2, 2) or not table.size:
-            raise ValueError(f"table shape {table.shape} must be (2, 2) or a batch (B, 2, 2)")
-        # one value per member; written so that NaN fails both guards
-        low, total = table.min(axis=(-2, -1)), table.sum(axis=(-2, -1))
-        _check(low >= -ENTRY_TOL, ValueError, lambda i: f"negative entry {low[i]:.3e}")
-        _check(np.abs(total - 1.0) <= TABLE_SUM_TOL, ValueError, lambda i: f"table sums to {float(total[i])!r}")
-        table = table.copy()
-        table.flags.writeable = False
-        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "table", _probability_table(self.table, (2, 2)))
 
 
 def _side(which: int) -> int:

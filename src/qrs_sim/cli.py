@@ -6,6 +6,11 @@ machine-readable report (``--format csv|json``).  Output is byte-identical
 for identical options (including the seed).  Exit codes: 0 on success, 1
 when any internal consistency residual reaches 1e-10, 2 on configuration
 errors.
+
+Every option is stated once, in :data:`OPTIONS`: its config-file key, its
+flag (``--key``, matched by the full name only), its parser and its help
+text.  ``--config`` names a file of such keys; flags override it.  The
+coefficient check is :class:`bell.ExperimentConfig`'s own.
 """
 
 from __future__ import annotations
@@ -36,21 +41,6 @@ DEFAULT_QUADRUPLE = (0.0, math.pi / 2.0, math.pi / 4.0, 3.0 * math.pi / 4.0)
 MAX_GRID_STEPS = 1000
 MAX_SAMPLES = 1_000_000
 
-_FILE_KEYS = (
-    "scenario",
-    "a",
-    "b",
-    "theta1",
-    "theta2",
-    "angles",
-    "grid",
-    "seed",
-    "samples",
-    "format",
-    "out",
-)
-#: every option of ``run`` takes one value
-_VALUE_FLAGS = frozenset(f"--{key}" for key in _FILE_KEYS + ("config",))
 #: a value argparse would read as an option, such as ``-0.8,0`` or ``-1,1,3``
 _NEGATIVE_VALUE = re.compile(r"-[0-9.]")
 
@@ -100,6 +90,11 @@ class RunReport:
     def ok(self) -> bool:
         return self.max_residual < RESIDUAL_GATE
 
+    @property
+    def all_tables(self) -> list[ReportTable]:
+        """``tables`` followed by the empirical table, if there is one."""
+        return self.tables + ([self.empirical] if self.empirical is not None else [])
+
 
 # ---------------------------------------------------------------------------
 # configuration parsing
@@ -140,13 +135,79 @@ def _parse_int(text: str, flag: str) -> int:
         raise _fail(flag, f"expected an integer, got {text!r}") from None
 
 
-def _check_angle(value: float, flag: str) -> float:
+def _parse_angle(text: str, flag: str) -> float:
+    value = _parse_float(text, flag)
     if abs(value) > MAX_ANGLE:
         raise _fail(
             flag,
             f"{value!r} is outside [-2*pi, 2*pi]; angles are radians, not degrees",
         )
     return float(value)
+
+
+def _parse_scenario(text: str, flag: str) -> str:
+    if text not in SCENARIOS:
+        raise _fail(flag, f"unknown scenario {text!r}; choose from {', '.join(SCENARIOS)}")
+    return text
+
+
+def _parse_quadruple(text: str, flag: str) -> tuple[float, float, float, float]:
+    parts = [p.strip() for p in str(text).split(",")]
+    if len(parts) != 4:
+        raise _fail(flag, f"expected four comma-separated angles, got {text!r}")
+    return tuple(_parse_angle(p, flag) for p in parts)
+
+
+def _parse_grid(text: str, flag: str) -> tuple[float, float, int]:
+    parts = [p.strip() for p in str(text).split(",")]
+    if len(parts) != 3:
+        raise _fail(flag, f"expected 'start,stop,steps', got {text!r}")
+    start = _parse_angle(parts[0], flag)
+    stop = _parse_angle(parts[1], flag)
+    steps = _parse_int(parts[2], flag)
+    if not 1 <= steps <= MAX_GRID_STEPS:
+        raise _fail(flag, f"steps must be in [1, {MAX_GRID_STEPS}], got {steps}")
+    return (start, stop, steps)
+
+
+def _parse_seed(text: str, flag: str) -> int:
+    seed = _parse_int(text, flag)
+    if seed < 0:
+        raise _fail(flag, f"must be >= 0, got {seed}")
+    return seed
+
+
+def _parse_samples(text: str, flag: str) -> int:
+    samples = _parse_int(text, flag)
+    if not 0 <= samples <= MAX_SAMPLES:
+        raise _fail(flag, f"must be in [0, {MAX_SAMPLES}], got {samples}")
+    return samples
+
+
+def _parse_format(text: str, flag: str) -> str:
+    fmt = str(text).strip().lower()
+    if fmt not in ("csv", "json"):
+        raise _fail(flag, f"expected 'csv' or 'json', got {text!r}")
+    return fmt
+
+
+#: the options of ``run``, in validation order: each key is a config-file
+#: key and, as ``--key``, a flag; maps to (parser of its raw text, --help text)
+OPTIONS = {
+    "scenario": (_parse_scenario, "scenario to run"),
+    "a": (_parse_complex, "first pair coefficient, 're' or 're,im'"),
+    "b": (_parse_complex, "second pair coefficient, 're' or 're,im'"),
+    "theta1": (_parse_angle, "first measurement angle from z, radians"),
+    "theta2": (_parse_angle, "second measurement angle from z, radians"),
+    "angles": (_parse_quadruple, "CHSH quadruple 'alpha,alpha2,beta,beta2', radians"),
+    "grid": (_parse_grid, f"scan grid 'start,stop,steps' (chsh-scan only; 1 <= steps <= {MAX_GRID_STEPS})"),
+    "seed": (_parse_seed, "sampling seed (default 0)"),
+    "samples": (_parse_samples, f"number of samples to draw (default 0, at most {MAX_SAMPLES})"),
+    "format": (_parse_format, "report format: csv or json (default json)"),
+    "out": (lambda text, flag: str(text) or None, "path for the machine-readable report"),
+}
+#: every flag of ``run`` takes one value; ``--config`` is the one that is no key
+_VALUE_FLAGS = frozenset(f"--{key}" for key in (*OPTIONS, "config"))
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -165,92 +226,40 @@ def load_config_file(path: str) -> dict[str, str]:
             raise ConfigError(f"{path}:{number}: expected 'key = value', got {raw.strip()!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _FILE_KEYS:
+        if key not in OPTIONS:
             raise ConfigError(f"{path}:{number}: unknown key {key!r}")
         values[key] = value
     return values
 
 
 def build_spec(values: dict[str, str]) -> ScenarioSpec:
-    """Validate merged file/flag values into a :class:`ScenarioSpec`."""
-    scenario = values.get("scenario")
-    if not scenario:
+    """Validate merged file/flag values into a :class:`ScenarioSpec`: each
+    key by its parser in ``OPTIONS``, then the coefficients (by
+    :class:`bell.ExperimentConfig`), then the rules across keys."""
+    if not values.get("scenario"):
         raise ConfigError("--scenario: missing (required field)")
-    if scenario not in SCENARIOS:
-        raise ConfigError(f"--scenario: unknown scenario {scenario!r}; choose from {', '.join(SCENARIOS)}")
+    spec = ScenarioSpec(**{key: parse(values[key], key) for key, (parse, _) in OPTIONS.items() if key in values})
+    spec.config()  # validates the coefficients
 
-    kwargs: dict = {"scenario": scenario}
-    if "a" in values:
-        kwargs["a"] = _parse_complex(values["a"], "a")
-    if "b" in values:
-        kwargs["b"] = _parse_complex(values["b"], "b")
-    if "theta1" in values:
-        kwargs["theta1"] = _check_angle(_parse_float(values["theta1"], "theta1"), "theta1")
-    if "theta2" in values:
-        kwargs["theta2"] = _check_angle(_parse_float(values["theta2"], "theta2"), "theta2")
-    if "angles" in values:
-        parts = [p.strip() for p in str(values["angles"]).split(",")]
-        if len(parts) != 4:
-            raise _fail("angles", f"expected four comma-separated angles, got {values['angles']!r}")
-        kwargs["angles"] = tuple(
-            _check_angle(_parse_float(p, "angles"), "angles") for p in parts
-        )
-    if "grid" in values:
-        parts = [p.strip() for p in str(values["grid"]).split(",")]
-        if len(parts) != 3:
-            raise _fail("grid", f"expected 'start,stop,steps', got {values['grid']!r}")
-        start = _check_angle(_parse_float(parts[0], "grid"), "grid")
-        stop = _check_angle(_parse_float(parts[1], "grid"), "grid")
-        steps = _parse_int(parts[2], "grid")
-        if not 1 <= steps <= MAX_GRID_STEPS:
-            raise _fail("grid", f"steps must be in [1, {MAX_GRID_STEPS}], got {steps}")
-        kwargs["grid"] = (start, stop, steps)
-    if "seed" in values:
-        seed = _parse_int(values["seed"], "seed")
-        if seed < 0:
-            raise _fail("seed", f"must be >= 0, got {seed}")
-        kwargs["seed"] = seed
-    if "samples" in values:
-        samples = _parse_int(values["samples"], "samples")
-        if not 0 <= samples <= MAX_SAMPLES:
-            raise _fail("samples", f"must be in [0, {MAX_SAMPLES}], got {samples}")
-        kwargs["samples"] = samples
-    if "format" in values:
-        fmt = str(values["format"]).strip().lower()
-        if fmt not in ("csv", "json"):
-            raise _fail("format", f"expected 'csv' or 'json', got {values['format']!r}")
-        kwargs["format"] = fmt
-    if "out" in values and values["out"]:
-        kwargs["out"] = str(values["out"])
-
-    a = kwargs.get("a", complex(bell.ROOT_HALF))
-    b = kwargs.get("b", complex(bell.ROOT_HALF))
-    try:
-        total = abs(a) ** 2 + abs(b) ** 2
-    except OverflowError:
-        raise NotNormalized(
-            f"|a|^2 + |b|^2 overflows for a = {a!r}, b = {b!r}; it must be 1 within 1e-12"
-        ) from None
-    if not abs(total - 1.0) <= 1e-12:
-        raise NotNormalized(f"|a|^2 + |b|^2 = {total!r} must be 1 within 1e-12")
-
-    if scenario != "chsh-scan":
-        if kwargs.get("grid") is not None:
+    if spec.scenario != "chsh-scan":
+        if spec.grid is not None:
             raise _fail("grid", "only the chsh-scan scenario takes a grid")
-        if kwargs.get("angles") is not None:
+        if spec.angles is not None:
             raise _fail("angles", "only the chsh-scan scenario takes an angle quadruple")
-    elif kwargs.get("samples", 0) > 0:
+    elif spec.samples > 0:
         raise _fail("samples", "the chsh-scan scenario has no distribution to sample")
 
-    return ScenarioSpec(**kwargs)
+    return spec
 
 
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process; built on first use, never changed."""
+    """The one parser of the process; built on first use, never changed.
+    Flags are matched by their full names only."""
     parser = argparse.ArgumentParser(
         prog="qrs-sim",
         description="Deterministic spin-correlation scenario runner.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser(
@@ -268,21 +277,12 @@ def _build_parser() -> argparse.ArgumentParser:
             "angle over the grid, keeping the first two fixed and the fourth "
             "at its original offset from the third."
         ),
+        allow_abbrev=False,
     )
-    run_p.add_argument("--scenario", choices=SCENARIOS, help="scenario to run")
+    run_p.add_argument("--scenario", choices=SCENARIOS, help=OPTIONS["scenario"][1])
     run_p.add_argument("--config", help="flat key=value config file; flags override it")
-    run_p.add_argument("--a", help="first pair coefficient, 're' or 're,im'")
-    run_p.add_argument("--b", help="second pair coefficient, 're' or 're,im'")
-    run_p.add_argument("--theta1", help="first measurement angle from z, radians")
-    run_p.add_argument("--theta2", help="second measurement angle from z, radians")
-    run_p.add_argument("--angles", help="CHSH quadruple 'alpha,alpha2,beta,beta2', radians")
-    run_p.add_argument(
-        "--grid", help=f"scan grid 'start,stop,steps' (chsh-scan only; 1 <= steps <= {MAX_GRID_STEPS})"
-    )
-    run_p.add_argument("--seed", help="sampling seed (default 0)")
-    run_p.add_argument("--samples", help=f"number of samples to draw (default 0, at most {MAX_SAMPLES})")
-    run_p.add_argument("--format", help="report format: csv or json (default json)")
-    run_p.add_argument("--out", help="path for the machine-readable report")
+    for key, (_, text) in list(OPTIONS.items())[1:]:
+        run_p.add_argument(f"--{key}", help=text)
     return parser
 
 
@@ -300,7 +300,7 @@ def parse_config(argv) -> ScenarioSpec:
     values: dict[str, str] = {}
     if args.config:
         values.update(load_config_file(args.config))
-    for key in _FILE_KEYS:
+    for key in OPTIONS:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
@@ -316,6 +316,11 @@ def _max_abs(x, y=0.0) -> float:
     return float(np.max(np.abs(x - y)))
 
 
+def _off_one(table) -> float:
+    """|sum - 1| over all cells: the form of the table-sum residuals."""
+    return abs(float(table.sum()) - 1.0)
+
+
 def _attach_sampling(report: RunReport, dist: JointDistribution, axis_names) -> None:
     spec = report.spec
     if spec.samples <= 0:
@@ -327,7 +332,6 @@ def _attach_sampling(report: RunReport, dist: JointDistribution, axis_names) -> 
 
 def _run_intro(spec: ScenarioSpec) -> RunReport:
     spec.config()  # validates the coefficients
-    space = SpaceRegistry([("P", bell.SPIN_DIM), ("M", bell.POINTER_DIM)])
     spin = StateVector(SpaceRegistry([("P", bell.SPIN_DIM)]), [spec.a, spec.b])
     start = tensor_product(spin, basis_state(SpaceRegistry([("M", bell.POINTER_DIM)]), bell.READY))
     unitary = bell.measurement_unitary(spec.theta1, "P", "M")
@@ -349,7 +353,7 @@ def _run_intro(spec: ScenarioSpec) -> RunReport:
     report.tables.append(ReportTable("candidate_weights", candidates.eigenvalues, ("n",)))
     report.metrics["candidate_degenerate"] = float(candidates.degenerate)
     report.residuals["state_norm"] = abs(final.norm() - 1.0)
-    report.residuals["table_sum:device_marginal"] = abs(float(marginal.sum()) - 1.0)
+    report.residuals["table_sum:device_marginal"] = _off_one(marginal)
     report.residuals["route:born_vs_direct"] = _max_abs(marginal, born)
     off_diagonal = device_state - np.diag(np.diag(device_state))
     report.residuals["device_state_offdiagonal"] = _max_abs(off_diagonal)
@@ -363,7 +367,7 @@ def _run_pair(spec: ScenarioSpec) -> RunReport:
     weights = np.abs(np.array(config.coefficients)) ** 2
     report = RunReport(spec=spec)
     report.tables.append(ReportTable("pair_table", dist.probabilities, ("j", "k")))
-    report.residuals["table_sum:pair_table"] = abs(float(dist.probabilities.sum()) - 1.0)
+    report.residuals["table_sum:pair_table"] = _off_one(dist.probabilities)
     report.residuals["route:direct_vs_coefficients"] = _max_abs(dist.probabilities, np.diag(weights))
     _attach_sampling(report, dist, ("j", "k"))
     return report
@@ -389,7 +393,7 @@ def _run_bell(spec: ScenarioSpec) -> RunReport:
     report.residuals["state_norm"] = abs(final.norm() - 1.0)
     report.residuals["route:entangled_vs_direct"] = _max_abs(entangled.table, direct.probabilities)
     for name, table in (("entangled", entangled.table), ("factorized", factorized.table)):
-        report.residuals[f"table_sum:{name}"] = abs(float(table.sum()) - 1.0)
+        report.residuals[f"table_sum:{name}"] = _off_one(table)
     report.residuals["marginal:entangled_vs_device"] = max(
         _max_abs(entangled.table.sum(axis=1), marginal1), _max_abs(entangled.table.sum(axis=0), marginal2)
     )
@@ -418,7 +422,7 @@ def _run_ancilla(spec: ScenarioSpec) -> RunReport:
     report.residuals["state_norm"] = abs(state.norm() - 1.0)
     report.residuals["route:ancilla_joint_vs_intuitive"] = _max_abs(n4.probabilities, intuitive)
     report.residuals["route:devices_vs_factorized"] = _max_abs(collapsed, factorized.table)
-    report.residuals["table_sum:ancilla_joint"] = abs(float(n4.probabilities.sum()) - 1.0)
+    report.residuals["table_sum:ancilla_joint"] = _off_one(n4.probabilities)
     report.metrics["correlation_change"] = _max_abs(collapsed, entangled.table)
     _attach_sampling(report, n4, ("l1", "l2", "j", "k"))
     return report
@@ -488,24 +492,22 @@ def _table_dict(table: ReportTable) -> dict:
 
 
 def report_dict(report: RunReport) -> dict:
+    tables = [_table_dict(t) for t in report.all_tables]
     out = {
         "spec": _spec_dict(report.spec),
-        "tables": [_table_dict(t) for t in report.tables],
+        "tables": tables[: len(report.tables)],
         "residuals": report.residuals,
         "metrics": report.metrics,
         "ok": report.ok,
     }
     if report.empirical is not None:
-        out["empirical"] = _table_dict(report.empirical)
+        out["empirical"] = tables[-1]
     return out
 
 
 def _csv_rows(report: RunReport):
     scenario = report.spec.scenario
-    tables = list(report.tables)
-    if report.empirical is not None:
-        tables.append(report.empirical)
-    for table in tables:
+    for table in report.all_tables:
         for index in np.ndindex(table.values.shape):
             cells = [str(i + 1) for i in index] + [""] * (4 - len(index))
             yield [scenario, table.kind, *cells, f"{float(table.values[index]):.17g}"]
@@ -539,10 +541,7 @@ def format_text(report: RunReport) -> str:
         lines.append(f"  angles = {tuple(spec.angles)}")
     if spec.grid:
         lines.append(f"  grid = {tuple(spec.grid)}")
-    tables = list(report.tables)
-    if report.empirical is not None:
-        tables.append(report.empirical)
-    for table in tables:
+    for table in report.all_tables:
         label = table.kind
         if table.settings is not None:
             label += f" @ ({table.settings[0]:.6g}, {table.settings[1]:.6g})"

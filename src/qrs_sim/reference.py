@@ -46,6 +46,25 @@ TABLE_SUM_TOL = 1e-10
 EIGENSTATE_TOL = 1e-10
 
 
+def _probability_table(values, shape: tuple[int, ...]) -> np.ndarray:
+    """Read-only float copy of a probability table of ``shape``, or of a
+    batch of them (one leading axis), whose entries are >= -1e-12 and sum to
+    1 within 1e-10 in every member."""
+    table = np.asarray(values, dtype=float)
+    batched = table.ndim == len(shape) + 1
+    if table.shape[batched:] != shape or not table.size:
+        raise ValueError(f"table shape {table.shape} matches neither axes {shape} nor a batch of them")
+    # one value per member; written so that NaN fails both guards
+    members = tuple(range(batched, table.ndim))
+    low, total = table.min(axis=members), table.sum(axis=members)
+    _check(low >= -PROB_CLAMP, ValueError, lambda i: f"negative probability {low[i]:.3e} below -{PROB_CLAMP}")
+    ok = np.abs(total - 1.0) <= TABLE_SUM_TOL
+    _check(ok, ValueError, lambda i: f"table sums to {float(total[i])!r}, off from 1 by over {TABLE_SUM_TOL}")
+    table = table.copy()
+    table.flags.writeable = False
+    return table
+
+
 @dataclass(frozen=True)
 class ReferenceSystem:
     """A composite system with a known pure state.
@@ -101,20 +120,8 @@ class JointDistribution:
     probabilities: np.ndarray
 
     def __post_init__(self):
-        table = np.asarray(self.probabilities, dtype=float)
-        expected = tuple(count for _, count in self.axes)
-        batched = table.ndim == len(expected) + 1
-        if table.shape[batched:] != expected or not table.size:
-            raise ValueError(f"table shape {table.shape} matches neither axes {expected} nor a batch of them")
-        # one value per member; written so that NaN fails both guards
-        members = tuple(range(batched, table.ndim))
-        low, total = table.min(axis=members), table.sum(axis=members)
-        _check(low >= -PROB_CLAMP, ValueError, lambda i: f"negative probability {low[i]:.3e} below -{PROB_CLAMP}")
-        ok = np.abs(total - 1.0) <= TABLE_SUM_TOL
-        _check(ok, ValueError, lambda i: f"table sums to {float(total[i])!r}, off from 1 by over {TABLE_SUM_TOL}")
-        table = table.copy()
-        table.flags.writeable = False
-        object.__setattr__(self, "probabilities", table)
+        shape = tuple(count for _, count in self.axes)
+        object.__setattr__(self, "probabilities", _probability_table(self.probabilities, shape))
 
     @property
     def batch(self) -> int | None:

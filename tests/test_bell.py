@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qrs_sim import (
+    JointDistribution,
     NonDisjointSystems,
     NotNormalized,
     ReferenceSystem,
@@ -140,9 +141,27 @@ class TestExperimentConfig:
 
 class TestCorrelationTable:
     def test_rejects_invalid_tables(self):
-        for table in (np.full((2, 2), 0.5), np.diag([1.5, -0.5]), np.full((2, 2), np.nan)):
-            with pytest.raises(ValueError):
+        cases = (
+            (np.full((2, 2), 0.5), "table sums to 2.0, off from 1 by over 1e-10"),
+            (np.diag([1.5, -0.5]), "negative probability -5.000e-01 below -1e-12"),
+            (np.full((2, 2), np.nan), "negative probability nan"),
+            (np.full((2, 3), 1 / 6), r"table shape \(2, 3\) matches neither axes \(2, 2\) nor a batch of them"),
+            (np.full((1, 1, 2, 2), 0.25), "table shape"),
+            (np.zeros((0, 2, 2)), "table shape"),
+        )
+        for table, message in cases:
+            with pytest.raises(ValueError, match=message):
                 CorrelationTable((0.0, 0.0), table, "direct")
+
+    def test_same_check_as_joint_distribution(self):
+        axes = ((("M1",), 2), (("M2",), 2))
+        bad = np.diag([1.5, -0.5])
+        for table in (np.full((2, 2), 0.5), bad, np.full((2, 2), np.nan), [np.eye(2) / 2, bad], np.ones(2)):
+            with pytest.raises(ValueError) as joint:
+                JointDistribution(axes, table)
+            with pytest.raises(ValueError) as correlation:
+                CorrelationTable((0.0, 0.0), table, "direct")
+            assert str(correlation.value) == str(joint.value)
 
 
 class TestEntangledPairState:

@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose
 from qrs_sim.cli import (
     MAX_GRID_STEPS,
     MAX_SAMPLES,
+    OPTIONS,
     RESIDUAL_GATE,
     SCENARIOS,
     ReportTable,
@@ -26,6 +27,7 @@ from qrs_sim.cli import (
     parse_config,
     run,
 )
+from qrs_sim.bell import ExperimentConfig
 from qrs_sim.errors import ConfigError, NotNormalized
 
 SINGLET_FLAGS = [
@@ -41,6 +43,22 @@ SINGLET_FLAGS = [
     "--theta2",
     "1.5707963267948966",
 ]
+
+
+#: per key of the option table: a value it parses, plus the other keys it needs
+KEY_CASES = {
+    "scenario": ("bell-ancilla", {}),
+    "a": ("-0.6,0", {"b": "0.8"}),
+    "b": ("0,-0.8", {"a": "0.6"}),
+    "theta1": ("-1.25", {}),
+    "theta2": ("0.5", {}),
+    "angles": ("-0.5,0,1,2", {"scenario": "chsh-scan"}),
+    "grid": ("-1,1,3", {"scenario": "chsh-scan"}),
+    "seed": ("7", {}),
+    "samples": ("12", {}),
+    "format": ("CSV", {}),
+    "out": ("report.csv", {}),
+}
 
 
 def table_by_kind(report, kind):
@@ -136,6 +154,35 @@ class TestParsing:
         assert spec.grid == (-1.0, 1.0, 3) and spec.angles == (-0.5, 0.0, 1.0, 2.0)
         with pytest.raises(ConfigError, match="seed"):
             parse_config(["run", "--scenario", "bell", "--seed", "-1,0"])
+
+    def test_option_table(self):
+        assert tuple(OPTIONS) == (
+            "scenario", "a", "b", "theta1", "theta2", "angles", "grid", "seed", "samples", "format", "out"
+        )
+        assert set(KEY_CASES) == set(OPTIONS)
+
+    @pytest.mark.parametrize("key", list(OPTIONS))
+    def test_each_key_parses_alike_in_every_form(self, key, tmp_path):
+        value, context = KEY_CASES[key]
+        context = {"scenario": "bell", **context}
+        rest = [f"--{k}={v}" for k, v in context.items() if k != key]
+        path = tmp_path / "one.cfg"
+        path.write_text(f"{key} = {value}\n")
+        spaced = parse_config(["run", f"--{key}", value, *rest])
+        joined = parse_config(["run", f"--{key}={value}", *rest])
+        from_file = parse_config(["run", "--config", str(path), *rest])
+        assert spaced == joined == from_file
+        assert getattr(spaced, key) == OPTIONS[key][0](value, key)
+        assert getattr(spaced, key) != getattr(ScenarioSpec(scenario="bell"), key)
+
+    @pytest.mark.parametrize("a,b", [("1", "1"), ("0.6", "0.8000001"), ("1e155,1e155", "0.8"), ("0,-1e308", "0")])
+    def test_coefficient_check_is_the_library_one(self, a, b):
+        with pytest.raises(NotNormalized) as from_cli:
+            build_spec({"scenario": "bell", "a": a, "b": b})
+        with pytest.raises(NotNormalized) as from_library:
+            ExperimentConfig(a=complex(*map(float, a.split(","))), b=complex(*map(float, b.split(","))))
+        assert str(from_cli.value) == str(from_library.value)
+        assert "must be 1 within 1e-12" in str(from_cli.value)
 
     def test_config_file_unknown_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -308,6 +355,20 @@ class TestMain:
         assert capsys.readouterr() == spaced
         with pytest.raises(SystemExit) as excinfo:
             main(["run", *flags, "--frequency", "-40"])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--scen", "chsh-scan"],
+            ["--scenario", "chsh-scan", "--gri=0,1,3"],
+            ["--scenario", "chsh-scan", "--gri", "-1,1,3"],
+            ["--scenario", "bell", "--theta", "0.5"],
+        ],
+    )
+    def test_flags_only_by_full_name(self, flags):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", *flags])
         assert excinfo.value.code == 2
 
     def test_argparse_rejects_unknown_flag(self):

@@ -260,6 +260,17 @@ class TestJointDistribution:
             JointDistribution(axes=((("A",), 2),), probabilities=np.array([1.1, -0.1]))
         with pytest.raises(ValueError):
             JointDistribution(axes=((("A",), 2),), probabilities=np.array([np.nan, np.nan]))
+        pair = ((("A",), 2), (("B",), 2))
+        cases = (
+            (np.full((2, 2), 0.25 + 1e-10), "table sums to"),
+            (np.array([[1.0, 1e-11], [-1e-11, 0.0]]), "negative probability -1.000e-11 below -1e-12"),
+            ([np.eye(2) / 2, np.full((2, 2), np.nan)], "batch member 1: negative probability nan"),
+            ([np.eye(2) / 2, np.eye(2) / 2, np.eye(2)], "batch member 2: table sums to 2.0"),
+            (np.full((2, 3), 1 / 6), r"table shape \(2, 3\) matches neither axes \(2, 2\)"),
+        )
+        for table, message in cases:
+            with pytest.raises(ValueError, match=message):
+                JointDistribution(axes=pair, probabilities=table)
 
     @settings(max_examples=60, deadline=None)
     @given(
