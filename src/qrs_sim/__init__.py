@@ -6,6 +6,8 @@ its CHSH harness.  Entry points: the classes and functions re-exported
 below, and the ``qrs-sim`` command line (see :mod:`qrs_sim.cli`).
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     ConfigError,
     LabelCollision,
@@ -59,48 +61,7 @@ from .bell import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "QrsError",
-    "LabelCollision",
-    "UnknownLabel",
-    "NotNormalized",
-    "NotHermitian",
-    "NotIsolated",
-    "NonDisjointSystems",
-    "ConfigError",
-    "SpaceRegistry",
-    "StateVector",
-    "DensityOperator",
-    "Operator",
-    "Spectrum",
-    "tensor_product",
-    "partial_trace",
-    "eig_hermitian",
-    "basis_state",
-    "ReferenceSystem",
-    "CandidateAssignment",
-    "JointDistribution",
-    "state_of",
-    "internal_state_candidates",
-    "joint_probability",
-    "joint_distribution",
-    "sample_assignment",
-    "ExperimentConfig",
-    "CorrelationTable",
-    "entangled_pair_state",
-    "spin_eigenstates",
-    "measurement_unitary",
-    "evolve_experiment",
-    "device_marginal",
-    "correlation_entangled",
-    "correlation_factorized",
-    "correlation_direct",
-    "pair_distribution",
-    "intuitive_joint",
-    "ancilla_experiment",
-    "ancilla_joint_distribution",
-    "ancilla_device_table",
-    "correlator",
-    "chsh",
-    "__version__",
-]
+#: every name imported above (the submodules those imports bind aside),
+#: plus the version
+__all__ = [name for name, value in dict(globals()).items() if not name.startswith("_") and not isinstance(value, _ModuleType)]
+__all__.append("__version__")

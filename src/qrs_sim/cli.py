@@ -28,7 +28,7 @@ import numpy as np
 
 from . import bell
 from .errors import ConfigError, NotNormalized, QrsError
-from .linalg import SpaceRegistry, StateVector, basis_state, tensor_product
+from .linalg import StateVector, basis_state, tensor_product
 from .reference import JointDistribution, ReferenceSystem, internal_state_candidates, state_of
 
 SCENARIOS = ("intro-measurement", "pair-correlations", "bell", "bell-ancilla", "chsh-scan")
@@ -62,7 +62,9 @@ class ScenarioSpec:
     format: str = "json"
     out: str | None = None
 
+    @functools.cached_property
     def config(self) -> bell.ExperimentConfig:
+        """The single-setting experiment, built (and so validated) once."""
         return bell.ExperimentConfig(a=self.a, b=self.b, theta1=self.theta1, theta2=self.theta2)
 
 
@@ -128,11 +130,17 @@ def _parse_float(text: str, flag: str) -> float:
     return value
 
 
-def _parse_int(text: str, flag: str) -> int:
+def _parse_bounded(text: str, flag: str, low: int = 0, high: int | None = None, name: str = "") -> int:
+    """An integer in [low, high], or >= low for no ``high``; ``name``
+    leads the out-of-range message."""
     try:
-        return int(str(text), 10)
+        value = int(str(text), 10)
     except ValueError:
         raise _fail(flag, f"expected an integer, got {text!r}") from None
+    if value < low or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise _fail(flag, f"{name}must be {bound}, got {value}")
+    return value
 
 
 def _parse_angle(text: str, flag: str) -> float:
@@ -164,24 +172,8 @@ def _parse_grid(text: str, flag: str) -> tuple[float, float, int]:
         raise _fail(flag, f"expected 'start,stop,steps', got {text!r}")
     start = _parse_angle(parts[0], flag)
     stop = _parse_angle(parts[1], flag)
-    steps = _parse_int(parts[2], flag)
-    if not 1 <= steps <= MAX_GRID_STEPS:
-        raise _fail(flag, f"steps must be in [1, {MAX_GRID_STEPS}], got {steps}")
+    steps = _parse_bounded(parts[2], flag, 1, MAX_GRID_STEPS, "steps ")
     return (start, stop, steps)
-
-
-def _parse_seed(text: str, flag: str) -> int:
-    seed = _parse_int(text, flag)
-    if seed < 0:
-        raise _fail(flag, f"must be >= 0, got {seed}")
-    return seed
-
-
-def _parse_samples(text: str, flag: str) -> int:
-    samples = _parse_int(text, flag)
-    if not 0 <= samples <= MAX_SAMPLES:
-        raise _fail(flag, f"must be in [0, {MAX_SAMPLES}], got {samples}")
-    return samples
 
 
 def _parse_format(text: str, flag: str) -> str:
@@ -201,8 +193,8 @@ OPTIONS = {
     "theta2": (_parse_angle, "second measurement angle from z, radians"),
     "angles": (_parse_quadruple, "CHSH quadruple 'alpha,alpha2,beta,beta2', radians"),
     "grid": (_parse_grid, f"scan grid 'start,stop,steps' (chsh-scan only; 1 <= steps <= {MAX_GRID_STEPS})"),
-    "seed": (_parse_seed, "sampling seed (default 0)"),
-    "samples": (_parse_samples, f"number of samples to draw (default 0, at most {MAX_SAMPLES})"),
+    "seed": (_parse_bounded, "sampling seed (default 0)"),
+    "samples": (functools.partial(_parse_bounded, high=MAX_SAMPLES), f"number of samples to draw (default 0, at most {MAX_SAMPLES})"),
     "format": (_parse_format, "report format: csv or json (default json)"),
     "out": (lambda text, flag: str(text) or None, "path for the machine-readable report"),
 }
@@ -239,7 +231,7 @@ def build_spec(values: dict[str, str]) -> ScenarioSpec:
     if not values.get("scenario"):
         raise ConfigError("--scenario: missing (required field)")
     spec = ScenarioSpec(**{key: parse(values[key], key) for key, (parse, _) in OPTIONS.items() if key in values})
-    spec.config()  # validates the coefficients
+    spec.config  # validates the coefficients
 
     if spec.scenario != "chsh-scan":
         if spec.grid is not None:
@@ -331,9 +323,8 @@ def _attach_sampling(report: RunReport, dist: JointDistribution, axis_names) -> 
 
 
 def _run_intro(spec: ScenarioSpec) -> RunReport:
-    spec.config()  # validates the coefficients
-    spin = StateVector(SpaceRegistry([("P", bell.SPIN_DIM)]), [spec.a, spec.b])
-    start = tensor_product(spin, basis_state(SpaceRegistry([("M", bell.POINTER_DIM)]), bell.READY))
+    spin = StateVector(bell.particle_space("P"), [spec.a, spec.b])
+    start = tensor_product(spin, basis_state(bell.pointer_space("M"), bell.READY))
     unitary = bell.measurement_unitary(spec.theta1, "P", "M")
     final = unitary.apply(start)
     reference = ReferenceSystem(final, isolated=True)
@@ -362,7 +353,7 @@ def _run_intro(spec: ScenarioSpec) -> RunReport:
 
 
 def _run_pair(spec: ScenarioSpec) -> RunReport:
-    config = spec.config()
+    config = spec.config
     dist = bell.pair_distribution(config)
     weights = np.abs(np.array(config.coefficients)) ** 2
     report = RunReport(spec=spec)
@@ -374,7 +365,7 @@ def _run_pair(spec: ScenarioSpec) -> RunReport:
 
 
 def _run_bell(spec: ScenarioSpec) -> RunReport:
-    config = spec.config()
+    config = spec.config
     final = bell.evolve_experiment(config)
     entangled = bell.correlation_entangled(config)
     factorized = bell.correlation_factorized(config)
@@ -404,7 +395,7 @@ def _run_bell(spec: ScenarioSpec) -> RunReport:
 
 
 def _run_ancilla(spec: ScenarioSpec) -> RunReport:
-    config = spec.config()
+    config = spec.config
     state = bell.ancilla_experiment(config)
     n4 = bell.pointer_joint(state, (bell.A1, bell.A2, bell.M1, bell.M2))
     intuitive = bell.intuitive_joint(config)
@@ -466,17 +457,9 @@ def run(spec: ScenarioSpec) -> RunReport:
 
 
 def _spec_dict(spec: ScenarioSpec) -> dict:
-    return {
-        "scenario": spec.scenario,
-        "a": [spec.a.real, spec.a.imag],
-        "b": [spec.b.real, spec.b.imag],
-        "theta1": spec.theta1,
-        "theta2": spec.theta2,
-        "angles": list(spec.angles) if spec.angles else None,
-        "grid": list(spec.grid) if spec.grid else None,
-        "seed": spec.seed,
-        "samples": spec.samples,
-    }
+    """The spec's options but the output ones, a complex value as [re, im]."""
+    values = {key: getattr(spec, key) for key in OPTIONS if key not in ("format", "out")}
+    return {key: [v.real, v.imag] if isinstance(v, complex) else v for key, v in values.items()}
 
 
 def _table_dict(table: ReportTable) -> dict:

@@ -21,6 +21,7 @@ Storage is dense only; the total composite dimension is capped at 4096.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -160,7 +161,8 @@ class StateVector:
             amps = amps / scale[..., None]
             amps = amps / np.sqrt(np.einsum("...i,...i->...", amps.conj(), amps).real)[..., None]
         flat = amps.view(float)  # real and imaginary parts side by side; no conjugate copy
-        nrm = np.sqrt((flat * flat).sum(axis=-1))
+        with np.errstate(over="ignore"):  # an overflowing norm is inf and fails the check
+            nrm = np.sqrt((flat * flat).sum(axis=-1))
         ok = np.abs(nrm - 1.0) <= NORM_TOL
         _check(ok, NotNormalized, lambda i: f"state norm {float(nrm[i])!r} deviates from 1 by more than {NORM_TOL}")
         amps.flags.writeable = False
@@ -235,7 +237,8 @@ class Operator:
             raise ValueError(f"operator batch of {self.batch} does not match state batch of {state.batch}")
         perm = [0] + axes + [i for i in range(1, len(space.dims) + 1) if i not in axes]
         tensor = state.amplitudes.reshape(-1, *space.dims).transpose(perm)
-        moved = self.matrix @ tensor.reshape(len(tensor), self.space.dim, -1)
+        with np.errstate(over="ignore", invalid="ignore"):  # StateVector refuses what is not finite
+            moved = self.matrix @ tensor.reshape(len(tensor), self.space.dim, -1)
         out = moved.reshape(-1, *tensor.shape[1:]).transpose(np.argsort(perm)).reshape(-1, space.dim)
         return StateVector(space, out if self.batch or state.batch else out[0])
 
@@ -252,11 +255,13 @@ class DensityOperator:
 
     def __init__(self, space: SpaceRegistry, matrix):
         mat, self.batch = _square(space, matrix)
-        # every guard is written so that NaN fails it
-        herm = np.abs(mat - mat.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        # every guard is written so that NaN fails it, and overflow to inf
+        # or NaN fails it silently
+        with np.errstate(over="ignore", invalid="ignore"):
+            herm = np.abs(mat - mat.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+            trace = np.trace(mat, axis1=-2, axis2=-1)
         ok = herm <= HERMITIAN_TOL
         _check(ok, NotHermitian, lambda i: f"Hermiticity residual {herm[i]:.3e} exceeds {HERMITIAN_TOL}")
-        trace = np.trace(mat, axis1=-2, axis2=-1)
         ok = np.abs(trace - 1.0) <= TRACE_TOL
         _check(ok, ValueError, lambda i: f"trace {complex(trace[i])!r} deviates from 1 by more than {TRACE_TOL}")
         smallest = np.linalg.eigvalsh(mat)[..., 0]
@@ -277,13 +282,12 @@ class Spectrum:
     """Eigendecomposition result, sorted by descending eigenvalue.
 
     ``degenerate`` reports whether any two adjacent eigenvalues are closer
-    than ``gap_threshold``; degeneracy is reported, never silently resolved,
-    because the eigenbasis is not unique in that case.
+    than ``DEGENERACY_GAP``; degeneracy is reported, never silently
+    resolved, because the eigenbasis is not unique in that case.
     """
 
     pairs: tuple[tuple[float, StateVector], ...]
     degenerate: bool
-    gap_threshold: float
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -343,28 +347,14 @@ def partial_trace(rho: DensityOperator | StateVector, keep) -> DensityOperator:
     return DensityOperator(sub, reduced if rho.batch else reduced[0])
 
 
-def _phase_fixed(column: np.ndarray) -> np.ndarray:
-    """Rotate the global phase so the first largest-magnitude component is
-    real and positive."""
-    k = int(np.argmax(np.abs(column)))
-    pivot = column[k]
-    if pivot == 0:
-        return column
-    return column * (pivot.conjugate() / abs(pivot))
-
-
-def _lex_key(column: np.ndarray) -> tuple[float, ...]:
-    return tuple(part for c in column for part in (c.real, c.imag))
-
-
-def eig_hermitian(rho: DensityOperator, *, gap_threshold: float = DEGENERACY_GAP) -> Spectrum:
+def eig_hermitian(rho: DensityOperator) -> Spectrum:
     """Full eigendecomposition of a density operator.
 
     Eigenpairs come back sorted by descending eigenvalue with a
     deterministic global phase (largest-magnitude component made real
     positive); exact eigenvalue ties are ordered lexicographically by the
     phase-fixed amplitudes.  ``degenerate`` is set when two eigenvalues sit
-    closer than ``gap_threshold``.
+    closer than ``DEGENERACY_GAP``.
     """
     _single("eig_hermitian", rho)
     mat = rho.matrix
@@ -372,26 +362,26 @@ def eig_hermitian(rho: DensityOperator, *, gap_threshold: float = DEGENERACY_GAP
     if not herm_residual <= HERMITIAN_TOL:
         raise NotHermitian(f"Hermiticity residual {herm_residual:.3e} exceeds {HERMITIAN_TOL}")
     values, vectors = np.linalg.eigh(mat)
-    order = list(np.argsort(-values, kind="stable"))
-    values = values[order]
-    columns = [_phase_fixed(vectors[:, i]) for i in order]
-    # stable sort leaves exact ties in eigh order; impose the lexicographic
-    # convention inside each tied block for cross-run identity
-    i = 0
-    while i < len(values):
-        j = i + 1
-        while j < len(values) and abs(values[j] - values[i]) <= 1e-15:
-            j += 1
-        if j - i > 1:
-            block = sorted(columns[i:j], key=_lex_key)
-            columns[i:j] = block
-        i = j
+    order = np.argsort(-values, kind="stable")
+    values, vectors = values[order], vectors[:, order]
+    # the first largest-magnitude component of each column is the pivot;
+    # np.hypot rounds |pivot| as scalar abs() does, array np.abs does not
+    pivot = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(len(values))]
+    vectors = vectors * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
+    # stable sort leaves exact ties (within 1e-15 of the first value of
+    # their block) in eigh order; impose the lexicographic convention on the
+    # columns inside each tied block for cross-run identity
+    block = list(itertools.accumulate(
+        range(len(values)), lambda first, j: first if abs(values[j] - values[first]) <= 1e-15 else j
+    ))
+    parts = np.stack([vectors.real, vectors.imag], axis=1).reshape(-1, len(values))
+    vectors = vectors[:, np.lexsort([*parts[::-1], block])]
     gaps = np.abs(np.diff(values))
-    degenerate = bool(gaps.size and float(np.min(gaps)) < gap_threshold)
+    degenerate = bool(gaps.size and float(np.min(gaps)) < DEGENERACY_GAP)
     pairs = tuple(
-        (float(values[i]), StateVector(rho.space, columns[i])) for i in range(len(values))
+        (float(value), StateVector(rho.space, column)) for value, column in zip(values, vectors.T)
     )
-    return Spectrum(pairs=pairs, degenerate=degenerate, gap_threshold=gap_threshold)
+    return Spectrum(pairs=pairs, degenerate=degenerate)
 
 
 def basis_state(space: SpaceRegistry, index: int | Sequence[int]) -> StateVector:

@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import NonDisjointSystems, NotIsolated, UnknownLabel
 from .linalg import (
+    DEGENERACY_GAP,
     DensityOperator,
     Spectrum,
     SpaceRegistry,
@@ -48,15 +49,18 @@ EIGENSTATE_TOL = 1e-10
 
 def _probability_table(values, shape: tuple[int, ...]) -> np.ndarray:
     """Read-only float copy of a probability table of ``shape``, or of a
-    batch of them (one leading axis), whose entries are >= -1e-12 and sum to
-    1 within 1e-10 in every member."""
+    batch of them (one leading axis), whose entries are finite and >= -1e-12
+    and sum to 1 within 1e-10 in every member."""
     table = np.asarray(values, dtype=float)
     batched = table.ndim == len(shape) + 1
     if table.shape[batched:] != shape or not table.size:
         raise ValueError(f"table shape {table.shape} matches neither axes {shape} nor a batch of them")
-    # one value per member; written so that NaN fails both guards
+    # one value per member
     members = tuple(range(batched, table.ndim))
-    low, total = table.min(axis=members), table.sum(axis=members)
+    finite = np.isfinite(table)
+    _check(finite.all(axis=members), ValueError, lambda i: f"probability {float(table[i][~finite[i]][0])!r} is not finite")
+    with np.errstate(over="ignore"):  # finite entries may still overflow the sum to inf, which fails
+        low, total = table.min(axis=members), table.sum(axis=members)
     _check(low >= -PROB_CLAMP, ValueError, lambda i: f"negative probability {low[i]:.3e} below -{PROB_CLAMP}")
     ok = np.abs(total - 1.0) <= TABLE_SUM_TOL
     _check(ok, ValueError, lambda i: f"table sums to {float(total[i])!r}, off from 1 by over {TABLE_SUM_TOL}")
@@ -176,14 +180,10 @@ def state_of(subsystem, reference: ReferenceSystem) -> DensityOperator:
     return partial_trace(reference.state, labels)
 
 
-def internal_state_candidates(
-    subsystem,
-    reference: ReferenceSystem,
-    *,
-    cutoff: float = CANDIDATE_CUTOFF,
-) -> Spectrum:
+def internal_state_candidates(subsystem, reference: ReferenceSystem) -> Spectrum:
     """Candidate internal states of ``subsystem``: eigenstates of its
-    reduced state with eigenvalue above ``cutoff``, sorted descending.
+    reduced state with eigenvalue above ``CANDIDATE_CUTOFF``, sorted
+    descending.
 
     Zero-weight eigenstates are dropped (they are never realized and their
     basis is arbitrary in the kernel).  The degeneracy flag covers the
@@ -195,16 +195,16 @@ def internal_state_candidates(
         raise NotIsolated("internal-state candidates are defined only for isolated reference systems")
     _single("internal_state_candidates", reference.state)
     spectrum = eig_hermitian(state_of(subsystem, reference))
-    kept = [(value, state) for value, state in spectrum.pairs if value > cutoff]
+    kept = [(value, state) for value, state in spectrum.pairs if value > CANDIDATE_CUTOFF]
     if not kept:
         raise ValueError("reduced state has no eigenvalue above the cutoff")
     values = [value for value, _ in kept]
     gaps = [values[i] - values[i + 1] for i in range(len(values) - 1)]
-    dropped = [value for value, _ in spectrum.pairs if value <= cutoff]
+    dropped = [value for value, _ in spectrum.pairs if value <= CANDIDATE_CUTOFF]
     if dropped:
         gaps.append(values[-1] - max(dropped))
-    degenerate = bool(gaps and min(gaps) < spectrum.gap_threshold)
-    return Spectrum(pairs=tuple(kept), degenerate=degenerate, gap_threshold=spectrum.gap_threshold)
+    degenerate = bool(gaps and min(gaps) < DEGENERACY_GAP)
+    return Spectrum(pairs=tuple(kept), degenerate=degenerate)
 
 
 def _normalized_systems(systems, reference: ReferenceSystem) -> list[tuple[str, ...]]:
@@ -233,37 +233,32 @@ def _candidate_states(
     systems: list[tuple[str, ...]],
     reference: ReferenceSystem,
     candidates,
-    tensor: np.ndarray,
 ) -> list[tuple[StateVector, ...]]:
     """Candidate state lists per system, either spectral or caller-supplied.
 
     Supplied candidates must be single states on the system's labels
     (registry order), be orthonormal, and be eigenstates of the system's
     reduced state in every member; this is how scenario code pins a basis
-    when the spectrum is degenerate.  The reduced states of each system are
-    one contraction of the ``(B, D_1, ..., D_k, R)`` amplitude ``tensor``.
+    when the spectrum is degenerate.
     """
     if candidates is None:
         return [internal_state_candidates(system, reference).states for system in systems]
     if len(candidates) != len(systems):
         raise ValueError("candidates must align one list per system")
     out = []
-    for axis, (system, states) in enumerate(zip(systems, candidates), start=1):
-        sub = reference.space.restrict(system)
+    for system, states in zip(systems, candidates):
+        rho = partial_trace(reference.state, system)
         name = "+".join(system)
         states = tuple(states)
         if not states:
             raise ValueError(f"no candidates given for {name}")
         for k, phi in enumerate(states):
-            if phi.space != sub or phi.batch is not None:
-                raise ValueError(f"candidate {k} for {name} is on {phi.space!r}, expected one state on {sub!r}")
+            if phi.space != rho.space or phi.batch is not None:
+                raise ValueError(f"candidate {k} for {name} is on {phi.space!r}, expected one state on {rho.space!r}")
         kets = np.array([phi.amplitudes for phi in states]).T
         if not (np.abs(kets.conj().T @ kets - np.eye(len(states))) <= EIGENSTATE_TOL).all():
             raise ValueError(f"candidates for {name} are not orthogonal")
-        # (B, D_i, rest): the order of the summed rest does not matter
-        m = tensor.swapaxes(1, axis).reshape(len(tensor), sub.dim, -1)
-        reduced = m @ m.conj().swapaxes(1, 2)
-        images = DensityOperator(sub, reduced if reference.state.batch else reduced[0]).matrix @ kets
+        images = rho.matrix @ kets
         weights = (kets.conj() * images).sum(axis=-2)
         ok = np.linalg.norm(images - weights[..., None, :] * kets, axis=-2) <= EIGENSTATE_TOL
         _check(ok.all(axis=-1), ValueError, lambda i: f"candidate {np.argmin(ok[i])} for {name} is not an eigenstate")
@@ -314,7 +309,7 @@ def joint_distribution(systems, reference: ReferenceSystem, *, candidates=None) 
     rest = [i for i in range(len(space.dims)) if i not in front]
     tensor = reference.state.amplitudes.reshape(-1, *space.dims).transpose([0] + [1 + i for i in front + rest])
     tensor = tensor.reshape(len(tensor), *(space.restrict(system).dim for system in systems), -1)
-    states = _candidate_states(systems, reference, candidates, tensor)
+    states = _candidate_states(systems, reference, candidates)
     # contracting axis 1 with each system's bras in turn leaves
     # (B, R, n_1, ..., n_k)
     for options in states:

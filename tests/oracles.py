@@ -6,13 +6,23 @@ the long way: an operator is widened to the full space by the identity on
 every other factor, and a joint table is the trace of a product of embedded
 candidate projectors against the reduced state of the union of the systems.
 Sampling is likewise checked against drawing one index tuple per pick and
-counting the tuples one at a time.
+counting the tuples one at a time, and the spectral ordering against fixing
+the phase of one column at a time and sorting each tied block in a loop.
 """
 
 import numpy as np
 
-from qrs_sim.errors import NotIsolated, UnknownLabel
-from qrs_sim.linalg import Operator, SpaceRegistry, StateVector
+from qrs_sim.errors import NotHermitian, NotIsolated, UnknownLabel
+from qrs_sim.linalg import (
+    DEGENERACY_GAP,
+    HERMITIAN_TOL,
+    DensityOperator,
+    Operator,
+    SpaceRegistry,
+    Spectrum,
+    StateVector,
+    _single,
+)
 from qrs_sim.reference import (
     JointDistribution,
     ReferenceSystem,
@@ -110,3 +120,47 @@ def count_draws(draws, shape, n: int) -> np.ndarray:
     for index in draws:
         counts[index] += 1.0
     return counts / float(n)
+
+
+def _phase_fixed(column: np.ndarray) -> np.ndarray:
+    """Rotate the global phase so the first largest-magnitude component is
+    real and positive."""
+    k = int(np.argmax(np.abs(column)))
+    pivot = column[k]
+    if pivot == 0:
+        return column
+    return column * (pivot.conjugate() / abs(pivot))
+
+
+def _lex_key(column: np.ndarray) -> tuple[float, ...]:
+    return tuple(part for c in column for part in (c.real, c.imag))
+
+
+def eig_hermitian_by_columns(rho: DensityOperator) -> Spectrum:
+    """``eig_hermitian`` one column at a time: the phase of each column is
+    fixed on its own, and each block of eigenvalues within 1e-15 of the
+    block's first value is sorted by the phase-fixed amplitudes in a loop."""
+    _single("eig_hermitian", rho)
+    mat = rho.matrix
+    herm_residual = float(np.max(np.abs(mat - mat.conj().T)))
+    if not herm_residual <= HERMITIAN_TOL:
+        raise NotHermitian(f"Hermiticity residual {herm_residual:.3e} exceeds {HERMITIAN_TOL}")
+    values, vectors = np.linalg.eigh(mat)
+    order = list(np.argsort(-values, kind="stable"))
+    values = values[order]
+    columns = [_phase_fixed(vectors[:, i]) for i in order]
+    i = 0
+    while i < len(values):
+        j = i + 1
+        while j < len(values) and abs(values[j] - values[i]) <= 1e-15:
+            j += 1
+        if j - i > 1:
+            block = sorted(columns[i:j], key=_lex_key)
+            columns[i:j] = block
+        i = j
+    gaps = np.abs(np.diff(values))
+    degenerate = bool(gaps.size and float(np.min(gaps)) < DEGENERACY_GAP)
+    pairs = tuple(
+        (float(values[i]), StateVector(rho.space, columns[i])) for i in range(len(values))
+    )
+    return Spectrum(pairs=pairs, degenerate=degenerate)

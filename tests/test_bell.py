@@ -144,7 +144,7 @@ class TestCorrelationTable:
         cases = (
             (np.full((2, 2), 0.5), "table sums to 2.0, off from 1 by over 1e-10"),
             (np.diag([1.5, -0.5]), "negative probability -5.000e-01 below -1e-12"),
-            (np.full((2, 2), np.nan), "negative probability nan"),
+            (np.full((2, 2), np.nan), "probability nan is not finite"),
             (np.full((2, 3), 1 / 6), r"table shape \(2, 3\) matches neither axes \(2, 2\) nor a batch of them"),
             (np.full((1, 1, 2, 2), 0.25), "table shape"),
             (np.zeros((0, 2, 2)), "table shape"),

@@ -254,6 +254,21 @@ class TestScenarios:
         assert table_by_kind(report, "scan_angle").shape == (7,)
         assert table_by_kind(report, "chsh_entangled").shape == (7,)
 
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_one_single_setting_config_per_run(self, scenario, monkeypatch):
+        # build_spec validates the coefficients by building the spec's
+        # config; the runners reuse it (chsh-scan builds only batches)
+        batches = []
+        post_init = ExperimentConfig.__post_init__
+
+        def counting(config):
+            post_init(config)
+            batches.append(config.batch)
+
+        monkeypatch.setattr(ExperimentConfig, "__post_init__", counting)
+        run(build_spec({"scenario": scenario, "a": "0.6", "b": "0.8"}))
+        assert batches.count(None) == 1
+
     def test_sampling_smoke(self):
         spec = build_spec({"scenario": "bell", "samples": "20000", "seed": "3"})
         report = run(spec)

@@ -9,7 +9,6 @@ numbers.  Special values (NaN, +-inf, 1e308) are drawn often on purpose.
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -41,10 +40,6 @@ SAMPLER_ARGUMENTS = st.one_of(
     REALS,
 )
 SAMPLER_SEEDS = st.one_of(SAMPLER_ARGUMENTS, st.integers(-(2**70), 2**70))
-
-# the inputs are non-finite or overflowing on purpose; numpy's floating-point
-# warnings on the way to a refusal are expected, the refusal is what is checked
-pytestmark = pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
 
 
 def refused(call):

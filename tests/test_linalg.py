@@ -6,20 +6,25 @@ from numpy.testing import assert_allclose
 
 from qrs_sim import (
     DensityOperator,
+    ExperimentConfig,
     LabelCollision,
     NotHermitian,
     NotNormalized,
     Operator,
+    ReferenceSystem,
     SpaceRegistry,
     StateVector,
     UnknownLabel,
+    ancilla_experiment,
     basis_state,
     eig_hermitian,
+    internal_state_candidates,
     partial_trace,
     tensor_product,
 )
+from qrs_sim import reference
 
-from oracles import embed_operator, projector
+from oracles import eig_hermitian_by_columns, embed_operator, projector
 
 
 # --------------------------------------------------------------------------- #
@@ -118,8 +123,10 @@ class TestSpaceRegistry:
 
 class TestStateVector:
     def test_rejects_unnormalized(self):
+        # the norm of [1e308, 1e308] overflows; it is refused without a
+        # RuntimeWarning, which the test configuration turns into an error
         space = SpaceRegistry([("A", 2)])
-        for amplitudes in ([1.0, 1.0], [float("nan"), 0.0]):
+        for amplitudes in ([1.0, 1.0], [float("nan"), 0.0], [1e308, 1e308]):
             with pytest.raises(NotNormalized):
                 StateVector(space, amplitudes)
 
@@ -187,9 +194,11 @@ class TestDensityOperator:
                 DensityOperator(space, matrix)
 
     def test_rejects_bad_trace(self):
+        # the trace of the second overflows; refused without a RuntimeWarning
         space = SpaceRegistry([("A", 2)])
-        with pytest.raises(ValueError):
-            DensityOperator(space, np.eye(2))
+        for matrix in (np.eye(2), np.full((2, 2), 1e308)):
+            with pytest.raises(ValueError, match="trace"):
+                DensityOperator(space, matrix)
 
     def test_rejects_negative_eigenvalue(self):
         space = SpaceRegistry([("A", 2)])
@@ -367,6 +376,56 @@ class TestEigHermitian:
             assert pivot.real > 0 and abs(pivot.imag) < 1e-12
 
 
+def spectrum_bits(spectrum):
+    """Every bit of a spectrum: the flag, then each eigenvalue and the raw
+    bytes of its amplitudes (signed zeros included)."""
+    return spectrum.degenerate, [(np.float64(value).tobytes(), state.amplitudes.tobytes()) for value, state in spectrum.pairs]
+
+
+def spectrum_inputs():
+    """Seeded densities for the spectral oracle: random full and low rank,
+    maximally mixed, flat half-rank (plain and rotated), and diagonals whose
+    near-ties chain past the 1e-15 tie width."""
+    rng = np.random.default_rng(20261019)
+    for d in (1, 2, 3, 4, 6, 9, 18, 36):
+        space = SpaceRegistry([("A", d)])
+        for rank in (d, d, max(1, d // 3), 1):
+            yield random_density(space, rng, rank)
+        yield DensityOperator(space, np.eye(d) / d)
+        half = max(1, d // 2)
+        flat = np.diag(np.r_[np.full(half, 1.0 / half), np.zeros(d - half)])
+        u = random_unitary(d, rng)
+        yield DensityOperator(space, flat)
+        yield DensityOperator(space, u @ flat @ u.conj().T)
+    # each step is inside the tie width, a run of three steps is not
+    chain = 0.125 + 4e-16 * np.arange(8)
+    u = random_unitary(8, rng)
+    yield DensityOperator(SpaceRegistry([("A", 8)]), np.diag(chain))
+    yield DensityOperator(SpaceRegistry([("A", 8)]), u @ np.diag(chain) @ u.conj().T)
+
+
+class TestEigHermitianOracle:
+    def test_matches_column_loop_bit_for_bit(self):
+        count = 0
+        for rho in spectrum_inputs():
+            assert spectrum_bits(eig_hermitian(rho)) == spectrum_bits(eig_hermitian_by_columns(rho)), rho.matrix
+            count += 1
+        assert count == 8 * 7 + 2
+
+    def test_ancilla_candidates_match_bit_for_bit(self, rng, monkeypatch):
+        systems = [("P1",), ("M1",), ("A1",), ("P1", "M1"), ("M1", "M2"), ("P1", "M1", "A1"), ("A1", "A2")]
+        configs = [ExperimentConfig()] + [
+            ExperimentConfig(a, np.sqrt(1 - abs(a) ** 2), *rng.uniform(-np.pi, np.pi, 2))
+            for a in rng.uniform(0, 1, 4) * np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
+        ]
+        cases = [(ReferenceSystem(ancilla_experiment(config), isolated=True), system) for config in configs for system in systems]
+        arrays = [spectrum_bits(internal_state_candidates(system, ref)) for ref, system in cases]
+        monkeypatch.setattr(reference, "eig_hermitian", eig_hermitian_by_columns)
+        loops = [spectrum_bits(internal_state_candidates(system, ref)) for ref, system in cases]
+        assert arrays == loops
+        assert any(degenerate for degenerate, _ in arrays) and not all(degenerate for degenerate, _ in arrays)
+
+
 class TestProjector:
     def test_basis_projector(self):
         space = SpaceRegistry([("A", 2)])
@@ -468,9 +527,11 @@ class TestOperatorApply:
             op.apply(random_state(SpaceRegistry([("A", 2), ("B", 2)]), rng))
 
     def test_non_unitary_rejected(self, rng):
-        op = Operator(SpaceRegistry([("B", 2)]), 2 * np.eye(2))
-        with pytest.raises(NotNormalized):
-            op.apply(random_state(SpaceRegistry([("A", 2), ("B", 2)]), rng))
+        # the last two overflow or meet NaN; refused without a RuntimeWarning
+        psi = random_state(SpaceRegistry([("A", 2), ("B", 2)]), rng)
+        for matrix in (2 * np.eye(2), np.full((2, 2), 1e308), np.full((2, 2), np.nan)):
+            with pytest.raises(NotNormalized):
+                Operator(SpaceRegistry([("B", 2)]), matrix).apply(psi)
 
 
 class TestBatches:

@@ -264,7 +264,9 @@ class TestJointDistribution:
         cases = (
             (np.full((2, 2), 0.25 + 1e-10), "table sums to"),
             (np.array([[1.0, 1e-11], [-1e-11, 0.0]]), "negative probability -1.000e-11 below -1e-12"),
-            ([np.eye(2) / 2, np.full((2, 2), np.nan)], "batch member 1: negative probability nan"),
+            ([np.eye(2) / 2, np.full((2, 2), np.nan)], "batch member 1: probability nan is not finite"),
+            (np.array([[0.5, -np.inf], [np.nan, 0.5]]), "probability -inf is not finite"),
+            (np.full((2, 2), 1e308), "table sums to inf"),
             ([np.eye(2) / 2, np.eye(2) / 2, np.eye(2)], "batch member 2: table sums to 2.0"),
             (np.full((2, 3), 1 / 6), r"table shape \(2, 3\) matches neither axes \(2, 2\)"),
         )
