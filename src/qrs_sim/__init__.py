@@ -40,7 +40,6 @@ from .reference import (
     state_of,
 )
 from .bell import (
-    CorrelationTable,
     ExperimentConfig,
     ancilla_device_table,
     ancilla_experiment,

@@ -38,7 +38,7 @@ from .linalg import (
     partial_trace,
     tensor_product,
 )
-from .reference import JointDistribution, ReferenceSystem, _probability_table, joint_distribution
+from .reference import JointDistribution, ReferenceSystem, joint_distribution
 
 ROOT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -53,7 +53,11 @@ PAIR_BASIS = {1: (0, 1), 2: (1, 0)}
 
 COEFF_TOL = 1e-12
 
-TABLE_KINDS = ("entangled", "factorized", "direct", "empirical")
+#: the axes of every device-device table: outcome j of M1, outcome k of M2
+DEVICE_AXES = (((M1,), 2), ((M2,), 2))
+
+#: (particle, pointer, ancilla) labels of each side
+_SIDE_LABELS = {1: (P1, M1, A1), 2: (P2, M2, A2)}
 
 
 @lru_cache(maxsize=None)
@@ -119,37 +123,10 @@ class ExperimentConfig:
         return self.theta1 if _side(which) == 1 else self.theta2
 
 
-@dataclass(frozen=True)
-class CorrelationTable:
-    """2x2 outcome-probability table for one pair of axis settings, or a
-    (B, 2, 2) batch of them."""
-
-    settings: tuple
-    table: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in TABLE_KINDS:
-            raise ValueError(f"kind must be one of {TABLE_KINDS}, got {self.kind!r}")
-        object.__setattr__(self, "table", _probability_table(self.table, (2, 2)))
-
-
 def _side(which: int) -> int:
     if which not in (1, 2):
         raise ValueError(f"side must be 1 or 2, got {which!r}")
     return which
-
-
-def particle_label(which: int) -> str:
-    return P1 if _side(which) == 1 else P2
-
-
-def pointer_label(which: int) -> str:
-    return M1 if _side(which) == 1 else M2
-
-
-def ancilla_label(which: int) -> str:
-    return A1 if _side(which) == 1 else A2
 
 
 def entangled_pair_state(config: ExperimentConfig) -> StateVector:
@@ -240,26 +217,26 @@ def evolve_experiment(config: ExperimentConfig) -> StateVector:
 def device_marginal(final_state: StateVector, which: int) -> np.ndarray:
     """Outcome distribution of one device: diagonal of its reduced state on
     the outcome pointer slots; (B, 2) for a batch of states."""
-    rho = partial_trace(final_state, pointer_label(which))
+    rho = partial_trace(final_state, _SIDE_LABELS[_side(which)][1])
     return rho.matrix[..., [1, 2], [1, 2]].real
 
 
-def correlation_entangled(config: ExperimentConfig) -> CorrelationTable:
+def correlation_entangled(config: ExperimentConfig) -> JointDistribution:
     """Interference closed form:
     P(j, k) = |sum_l c_l <xi1_j|phi_{1,l}> <xi2_k|phi_{2,l}>|^2."""
     o1 = outcome_overlaps(config.theta1, 1)
     o2 = np.swapaxes(outcome_overlaps(config.theta2, 2), -1, -2)
     amp = o1 @ np.diag(config.coefficients) @ o2
-    return CorrelationTable((config.theta1, config.theta2), np.abs(amp) ** 2, "entangled")
+    return JointDistribution(DEVICE_AXES, np.abs(amp) ** 2)
 
 
-def correlation_factorized(config: ExperimentConfig) -> CorrelationTable:
+def correlation_factorized(config: ExperimentConfig) -> JointDistribution:
     """No-interference closed form:
     P(j, k) = sum_l |c_l|^2 |<xi1_j|phi_{1,l}>|^2 |<xi2_k|phi_{2,l}>|^2."""
     o1 = outcome_overlaps(config.theta1, 1) ** 2
     o2 = np.swapaxes(outcome_overlaps(config.theta2, 2), -1, -2) ** 2
     weights = np.abs(np.array(config.coefficients)) ** 2
-    return CorrelationTable((config.theta1, config.theta2), o1 @ np.diag(weights) @ o2, "factorized")
+    return JointDistribution(DEVICE_AXES, o1 @ np.diag(weights) @ o2)
 
 
 @lru_cache(maxsize=None)
@@ -288,17 +265,16 @@ def pointer_joint(state: StateVector, pointers) -> JointDistribution:
 
 def particle_candidate_states(which: int) -> tuple[StateVector, StateVector]:
     """The analytic pair-basis states phi_{which,1}, phi_{which,2}."""
-    space = particle_space(particle_label(which))
-    i1, i2 = PAIR_BASIS[_side(which)]
+    space = particle_space(_SIDE_LABELS[_side(which)][0])
+    i1, i2 = PAIR_BASIS[which]
     return basis_state(space, i1), basis_state(space, i2)
 
 
-def correlation_direct(config: ExperimentConfig) -> CorrelationTable:
+def correlation_direct(config: ExperimentConfig) -> JointDistribution:
     """Device-device table computed through the generic machinery: evolve
     the composite and contract it with the analytic outcome candidates of
     the two devices."""
-    dist = pointer_joint(evolve_experiment(config), (M1, M2))
-    return CorrelationTable((config.theta1, config.theta2), dist.probabilities, "direct")
+    return pointer_joint(evolve_experiment(config), (M1, M2))
 
 
 def pair_distribution(config: ExperimentConfig) -> JointDistribution:
@@ -341,7 +317,7 @@ def ancilla_candidate_states(config: ExperimentConfig, which: int) -> tuple[Stat
     """
     _single("ancilla_candidate_states", config)
     side = _side(which)
-    space = SpaceRegistry([(particle_label(side), SPIN_DIM), (pointer_label(side), POINTER_DIM)])
+    space = SpaceRegistry(zip(_SIDE_LABELS[side][:2], (SPIN_DIM, POINTER_DIM)))
     theta = config.theta(side)
     chi = np.einsum("jl,js,jm->lsm", outcome_overlaps(theta, side), _spin_rows(theta), np.eye(POINTER_DIM)[1:])
     return tuple(StateVector(space, amps) for amps in chi.reshape(2, -1))
@@ -354,8 +330,7 @@ def ancilla_recording_unitary(config: ExperimentConfig, which: int) -> Operator:
     identity on the orthogonal complement of the chi states.  It leaves the
     chi states themselves untouched."""
     side = _side(which)
-    labels = (particle_label(side), pointer_label(side), ancilla_label(side))
-    space = SpaceRegistry(zip(labels, (SPIN_DIM, POINTER_DIM, POINTER_DIM)))
+    space = SpaceRegistry(zip(_SIDE_LABELS[side], (SPIN_DIM, POINTER_DIM, POINTER_DIM)))
     chi = np.array([state.amplitudes for state in ancilla_candidate_states(config, side)])
     return Operator(space, _controlled_swap(chi, complete=True))
 
@@ -382,17 +357,16 @@ def ancilla_joint_distribution(config: ExperimentConfig) -> JointDistribution:
     return pointer_joint(ancilla_experiment(config), (A1, A2, M1, M2))
 
 
-def ancilla_device_table(config: ExperimentConfig) -> CorrelationTable:
+def ancilla_device_table(config: ExperimentConfig) -> JointDistribution:
     """Device-device table on the ancilla-extended state: the recordings
     change it from the interference form to the factorized form."""
-    dist = pointer_joint(ancilla_experiment(config), (M1, M2))
-    return CorrelationTable((config.theta1, config.theta2), dist.probabilities, "direct")
+    return pointer_joint(ancilla_experiment(config), (M1, M2))
 
 
-def correlator(table: CorrelationTable) -> float | np.ndarray:
+def correlator(table: JointDistribution) -> float | np.ndarray:
     """E = sum_{jk} (-1)^{j+k} P(j, k) with outcomes valued +1, -1 (per
     member for a batch)."""
-    p = table.table
+    p = table.probabilities
     e = p[..., 0, 0] - p[..., 0, 1] - p[..., 1, 0] + p[..., 1, 1]
     return float(e) if p.ndim == 2 else e
 

@@ -375,18 +375,18 @@ def _run_bell(spec: ScenarioSpec) -> RunReport:
 
     settings = (spec.theta1, spec.theta2)
     report = RunReport(spec=spec)
-    report.tables.append(ReportTable("entangled", entangled.table, ("j", "k"), settings))
-    report.tables.append(ReportTable("factorized", factorized.table, ("j", "k"), settings))
+    report.tables.append(ReportTable("entangled", entangled.probabilities, ("j", "k"), settings))
+    report.tables.append(ReportTable("factorized", factorized.probabilities, ("j", "k"), settings))
     report.tables.append(ReportTable("direct", direct.probabilities, ("j", "k"), settings))
     report.tables.append(ReportTable("device_marginal_1", marginal1, ("j",)))
     report.tables.append(ReportTable("device_marginal_2", marginal2, ("k",)))
 
     report.residuals["state_norm"] = abs(final.norm() - 1.0)
-    report.residuals["route:entangled_vs_direct"] = _max_abs(entangled.table, direct.probabilities)
-    for name, table in (("entangled", entangled.table), ("factorized", factorized.table)):
+    report.residuals["route:entangled_vs_direct"] = _max_abs(entangled.probabilities, direct.probabilities)
+    for name, table in (("entangled", entangled.probabilities), ("factorized", factorized.probabilities)):
         report.residuals[f"table_sum:{name}"] = _off_one(table)
     report.residuals["marginal:entangled_vs_device"] = max(
-        _max_abs(entangled.table.sum(axis=1), marginal1), _max_abs(entangled.table.sum(axis=0), marginal2)
+        _max_abs(entangled.probabilities.sum(axis=1), marginal1), _max_abs(entangled.probabilities.sum(axis=0), marginal2)
     )
     report.metrics["correlator_entangled"] = bell.correlator(entangled)
     report.metrics["correlator_factorized"] = bell.correlator(factorized)
@@ -407,14 +407,14 @@ def _run_ancilla(spec: ScenarioSpec) -> RunReport:
     report = RunReport(spec=spec)
     report.tables.append(ReportTable("ancilla_joint", n4.probabilities, ("l1", "l2", "j", "k"), settings))
     report.tables.append(ReportTable("direct", collapsed, ("j", "k"), settings))
-    report.tables.append(ReportTable("factorized", factorized.table, ("j", "k"), settings))
-    report.tables.append(ReportTable("entangled", entangled.table, ("j", "k"), settings))
+    report.tables.append(ReportTable("factorized", factorized.probabilities, ("j", "k"), settings))
+    report.tables.append(ReportTable("entangled", entangled.probabilities, ("j", "k"), settings))
 
     report.residuals["state_norm"] = abs(state.norm() - 1.0)
     report.residuals["route:ancilla_joint_vs_intuitive"] = _max_abs(n4.probabilities, intuitive)
-    report.residuals["route:devices_vs_factorized"] = _max_abs(collapsed, factorized.table)
+    report.residuals["route:devices_vs_factorized"] = _max_abs(collapsed, factorized.probabilities)
     report.residuals["table_sum:ancilla_joint"] = _off_one(n4.probabilities)
-    report.metrics["correlation_change"] = _max_abs(collapsed, entangled.table)
+    report.metrics["correlation_change"] = _max_abs(collapsed, entangled.probabilities)
     _attach_sampling(report, n4, ("l1", "l2", "j", "k"))
     return report
 

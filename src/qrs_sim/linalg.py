@@ -141,7 +141,8 @@ class StateVector:
     """Unit-norm complex amplitude vector over a registry's product basis,
     or a batch of them (``batch`` is B, None for a single state).
 
-    The constructor rejects non-normalized input within 1e-12 unless
+    The constructor rejects input whose squared norm is not 1 within 1e-12
+    (the trace every density operator built from it must meet) unless
     ``normalize=True`` is passed, in which case it rescales finite, nonzero
     input.  Instances are immutable after construction.
     """
@@ -161,10 +162,10 @@ class StateVector:
             amps = amps / scale[..., None]
             amps = amps / np.sqrt(np.einsum("...i,...i->...", amps.conj(), amps).real)[..., None]
         flat = amps.view(float)  # real and imaginary parts side by side; no conjugate copy
-        with np.errstate(over="ignore"):  # an overflowing norm is inf and fails the check
-            nrm = np.sqrt((flat * flat).sum(axis=-1))
-        ok = np.abs(nrm - 1.0) <= NORM_TOL
-        _check(ok, NotNormalized, lambda i: f"state norm {float(nrm[i])!r} deviates from 1 by more than {NORM_TOL}")
+        # einsum overflows to inf without a warning, and inf fails the check
+        squared = np.einsum("...i,...i->...", flat, flat)
+        ok = np.abs(squared - 1.0) <= NORM_TOL
+        _check(ok, NotNormalized, lambda i: f"squared state norm {float(squared[i])!r} deviates from 1 by more than {NORM_TOL}")
         amps.flags.writeable = False
         self.space = space
         self.amplitudes = amps

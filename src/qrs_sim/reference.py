@@ -47,28 +47,6 @@ TABLE_SUM_TOL = 1e-10
 EIGENSTATE_TOL = 1e-10
 
 
-def _probability_table(values, shape: tuple[int, ...]) -> np.ndarray:
-    """Read-only float copy of a probability table of ``shape``, or of a
-    batch of them (one leading axis), whose entries are finite and >= -1e-12
-    and sum to 1 within 1e-10 in every member."""
-    table = np.asarray(values, dtype=float)
-    batched = table.ndim == len(shape) + 1
-    if table.shape[batched:] != shape or not table.size:
-        raise ValueError(f"table shape {table.shape} matches neither axes {shape} nor a batch of them")
-    # one value per member
-    members = tuple(range(batched, table.ndim))
-    finite = np.isfinite(table)
-    _check(finite.all(axis=members), ValueError, lambda i: f"probability {float(table[i][~finite[i]][0])!r} is not finite")
-    with np.errstate(over="ignore"):  # finite entries may still overflow the sum to inf, which fails
-        low, total = table.min(axis=members), table.sum(axis=members)
-    _check(low >= -PROB_CLAMP, ValueError, lambda i: f"negative probability {low[i]:.3e} below -{PROB_CLAMP}")
-    ok = np.abs(total - 1.0) <= TABLE_SUM_TOL
-    _check(ok, ValueError, lambda i: f"table sums to {float(total[i])!r}, off from 1 by over {TABLE_SUM_TOL}")
-    table = table.copy()
-    table.flags.writeable = False
-    return table
-
-
 @dataclass(frozen=True)
 class ReferenceSystem:
     """A composite system with a known pure state.
@@ -116,8 +94,9 @@ class JointDistribution:
     or a batch of them (one leading axis).
 
     ``axes`` pairs each subsystem's labels with its candidate count; the
-    table axis order matches.  Entries are >= -1e-12 and sum to 1 within
-    1e-10 (checked per member at construction).
+    table axis order matches.  Entries are finite and >= -1e-12 and sum to
+    1 within 1e-10 (checked per member at construction); ``probabilities``
+    is a read-only float copy of the table given.
     """
 
     axes: tuple[tuple[tuple[str, ...], int], ...]
@@ -125,7 +104,22 @@ class JointDistribution:
 
     def __post_init__(self):
         shape = tuple(count for _, count in self.axes)
-        object.__setattr__(self, "probabilities", _probability_table(self.probabilities, shape))
+        table = np.asarray(self.probabilities, dtype=float)
+        batched = table.ndim == len(shape) + 1
+        if table.shape[batched:] != shape or not table.size:
+            raise ValueError(f"table shape {table.shape} matches neither axes {shape} nor a batch of them")
+        # one value per member
+        members = tuple(range(batched, table.ndim))
+        finite = np.isfinite(table)
+        _check(finite.all(axis=members), ValueError, lambda i: f"probability {float(table[i][~finite[i]][0])!r} is not finite")
+        with np.errstate(over="ignore"):  # finite entries may still overflow the sum to inf, which fails
+            low, total = table.min(axis=members), table.sum(axis=members)
+        _check(low >= -PROB_CLAMP, ValueError, lambda i: f"negative probability {low[i]:.3e} below -{PROB_CLAMP}")
+        ok = np.abs(total - 1.0) <= TABLE_SUM_TOL
+        _check(ok, ValueError, lambda i: f"table sums to {float(total[i])!r}, off from 1 by over {TABLE_SUM_TOL}")
+        table = table.copy()
+        table.flags.writeable = False
+        object.__setattr__(self, "probabilities", table)
 
     @property
     def batch(self) -> int | None:
@@ -176,8 +170,7 @@ class JointDistribution:
 def state_of(subsystem, reference: ReferenceSystem) -> DensityOperator:
     """Reduced state of ``subsystem`` relative to ``reference``: the partial
     trace of the reference system's pure state over the remaining labels."""
-    labels = reference.space.resolve(subsystem)
-    return partial_trace(reference.state, labels)
+    return partial_trace(reference.state, subsystem)
 
 
 def internal_state_candidates(subsystem, reference: ReferenceSystem) -> Spectrum:
@@ -195,16 +188,13 @@ def internal_state_candidates(subsystem, reference: ReferenceSystem) -> Spectrum
         raise NotIsolated("internal-state candidates are defined only for isolated reference systems")
     _single("internal_state_candidates", reference.state)
     spectrum = eig_hermitian(state_of(subsystem, reference))
-    kept = [(value, state) for value, state in spectrum.pairs if value > CANDIDATE_CUTOFF]
+    values = spectrum.eigenvalues
+    kept = int((values > CANDIDATE_CUTOFF).sum())
     if not kept:
         raise ValueError("reduced state has no eigenvalue above the cutoff")
-    values = [value for value, _ in kept]
-    gaps = [values[i] - values[i + 1] for i in range(len(values) - 1)]
-    dropped = [value for value, _ in spectrum.pairs if value <= CANDIDATE_CUTOFF]
-    if dropped:
-        gaps.append(values[-1] - max(dropped))
-    degenerate = bool(gaps and min(gaps) < DEGENERACY_GAP)
-    return Spectrum(pairs=tuple(kept), degenerate=degenerate)
+    # descending order: the kept values and the largest dropped one are a prefix
+    gaps = -np.diff(values[: kept + 1])
+    return Spectrum(pairs=spectrum.pairs[:kept], degenerate=bool((gaps < DEGENERACY_GAP).any()))
 
 
 def _normalized_systems(systems, reference: ReferenceSystem) -> list[tuple[str, ...]]:

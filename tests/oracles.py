@@ -8,6 +8,8 @@ candidate projectors against the reduced state of the union of the systems.
 Sampling is likewise checked against drawing one index tuple per pick and
 counting the tuples one at a time, and the spectral ordering against fixing
 the phase of one column at a time and sorting each tied block in a loop.
+The cut of a spectrum to internal-state candidates is checked against
+listing the kept and dropped eigenvalues and their gaps.
 """
 
 import numpy as np
@@ -24,6 +26,7 @@ from qrs_sim.linalg import (
     _single,
 )
 from qrs_sim.reference import (
+    CANDIDATE_CUTOFF,
     JointDistribution,
     ReferenceSystem,
     _check_disjoint,
@@ -164,3 +167,20 @@ def eig_hermitian_by_columns(rho: DensityOperator) -> Spectrum:
         (float(values[i]), StateVector(rho.space, columns[i])) for i in range(len(values))
     )
     return Spectrum(pairs=pairs, degenerate=degenerate)
+
+
+def candidates_by_lists(spectrum: Spectrum) -> Spectrum:
+    """``internal_state_candidates`` from a full spectrum, by lists: keep the
+    pairs above the cutoff and flag degeneracy when a gap between kept
+    eigenvalues, or from the last kept one down to the largest dropped one,
+    is below ``DEGENERACY_GAP``."""
+    kept = [(value, state) for value, state in spectrum.pairs if value > CANDIDATE_CUTOFF]
+    if not kept:
+        raise ValueError("reduced state has no eigenvalue above the cutoff")
+    values = [value for value, _ in kept]
+    gaps = [values[i] - values[i + 1] for i in range(len(values) - 1)]
+    dropped = [value for value, _ in spectrum.pairs if value <= CANDIDATE_CUTOFF]
+    if dropped:
+        gaps.append(values[-1] - max(dropped))
+    degenerate = bool(gaps and min(gaps) < DEGENERACY_GAP)
+    return Spectrum(pairs=tuple(kept), degenerate=degenerate)

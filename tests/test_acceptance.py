@@ -96,8 +96,8 @@ def test_criterion_3_route_equivalence():
         worst = 0.0
         for a, b in coefficients:
             config = ExperimentConfig(a=a, b=b, theta1=THETA1, theta2=THETA2)
-            closed = correlation_entangled(config).table
-            direct = correlation_direct(config).table
+            closed = correlation_entangled(config).probabilities
+            direct = correlation_direct(config).probabilities
             worst = max(worst, float(np.max(np.abs(closed - direct))))
         assert worst <= 1e-12, f"worst route residual {worst:.3e}"
 
@@ -149,9 +149,8 @@ def test_criterion_6_ancilla_collapse():
         for theta1 in search:
             for theta2 in search:
                 config = ExperimentConfig(theta1=float(theta1), theta2=float(theta2))
-                gap = float(
-                    np.max(np.abs(correlation_entangled(config).table - correlation_factorized(config).table))
-                )
+                entangled = correlation_entangled(config).probabilities
+                gap = float(np.max(np.abs(entangled - correlation_factorized(config).probabilities)))
                 if gap > best_gap:
                     best_gap, best = gap, config
         assert best_gap >= 0.1, "no discriminating settings found on the grid"
@@ -160,11 +159,11 @@ def test_criterion_6_ancilla_collapse():
         for config in (best, ExperimentConfig()):  # located settings and (0, pi/2)
             four_way = ancilla_joint_distribution(config)
             assert np.max(np.abs(four_way.probabilities - intuitive_joint(config))) <= 1e-12
-            collapsed = ancilla_device_table(config).table
-            assert np.max(np.abs(collapsed - correlation_factorized(config).table)) <= 1e-12
+            collapsed = ancilla_device_table(config).probabilities
+            assert np.max(np.abs(collapsed - correlation_factorized(config).probabilities)) <= 1e-12
 
         disagreement = float(
-            np.max(np.abs(ancilla_device_table(best).table - correlation_entangled(best).table))
+            np.max(np.abs(ancilla_device_table(best).probabilities - correlation_entangled(best).probabilities))
         )
         assert disagreement >= 0.2
 

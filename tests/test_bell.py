@@ -13,7 +13,7 @@ from qrs_sim import (
     partial_trace,
 )
 from qrs_sim.bell import (
-    CorrelationTable,
+    DEVICE_AXES,
     ExperimentConfig,
     ancilla_candidate_states,
     ancilla_device_table,
@@ -140,6 +140,9 @@ class TestExperimentConfig:
 
 
 class TestCorrelationTable:
+    """A device-device correlation table is a JointDistribution over
+    DEVICE_AXES, refused by that class's one table check."""
+
     def test_rejects_invalid_tables(self):
         cases = (
             (np.full((2, 2), 0.5), "table sums to 2.0, off from 1 by over 1e-10"),
@@ -151,17 +154,31 @@ class TestCorrelationTable:
         )
         for table, message in cases:
             with pytest.raises(ValueError, match=message):
-                CorrelationTable((0.0, 0.0), table, "direct")
+                JointDistribution(DEVICE_AXES, table)
 
-    def test_same_check_as_joint_distribution(self):
-        axes = ((("M1",), 2), (("M2",), 2))
-        bad = np.diag([1.5, -0.5])
-        for table in (np.full((2, 2), 0.5), bad, np.full((2, 2), np.nan), [np.eye(2) / 2, bad], np.ones(2)):
-            with pytest.raises(ValueError) as joint:
-                JointDistribution(axes, table)
-            with pytest.raises(ValueError) as correlation:
-                CorrelationTable((0.0, 0.0), table, "direct")
-            assert str(correlation.value) == str(joint.value)
+    def test_routes_return_device_joint_distributions(self, monkeypatch):
+        single = ExperimentConfig(a=0.6, b=0.8, theta1=0.3, theta2=1.1)
+        batched = ExperimentConfig(a=0.6, b=0.8, theta1=(0.3, 0.7, 2.0), theta2=1.1)
+        routes = (correlation_entangled, correlation_factorized, correlation_direct)
+        for config, shape in ((single, (2, 2)), (batched, (3, 2, 2))):
+            for route in routes:
+                table = route(config)
+                assert type(table) is JointDistribution and table.axes == DEVICE_AXES
+                assert table.probabilities.shape == shape
+        table = ancilla_device_table(single)
+        assert type(table) is JointDistribution and table.axes == DEVICE_AXES
+        # the direct table is built, and so checked, once
+        built, check = [], JointDistribution.__post_init__
+
+        def counted(dist):
+            built.append(dist.axes)
+            check(dist)
+
+        monkeypatch.setattr(JointDistribution, "__post_init__", counted)
+        for config in (single, batched):
+            built.clear()
+            correlation_direct(config)
+            assert len(built) == 1
 
 
 class TestEntangledPairState:
@@ -302,7 +319,7 @@ class TestDeviceMarginal:
 
 class TestCorrelationTables:
     def test_singlet_equal_settings_anticorrelate(self):
-        table = correlation_entangled(ExperimentConfig(theta1=0.8, theta2=0.8)).table
+        table = correlation_entangled(ExperimentConfig(theta1=0.8, theta2=0.8)).probabilities
         assert_allclose(table, [[0, 0.5], [0.5, 0]], atol=1e-12)
 
     def test_singlet_correlator_curve(self):
@@ -322,23 +339,23 @@ class TestCorrelationTables:
     def test_product_pair_has_no_interference(self):
         config = ExperimentConfig(a=1.0, b=0.0, theta1=0.6, theta2=1.9)
         assert_allclose(
-            correlation_entangled(config).table,
-            correlation_factorized(config).table,
+            correlation_entangled(config).probabilities,
+            correlation_factorized(config).probabilities,
             atol=1e-12,
         )
 
     def test_equal_z_settings_make_routes_agree(self):
         config = ExperimentConfig(a=0.6, b=0.8, theta1=0.0, theta2=0.0)
         assert_allclose(
-            correlation_entangled(config).table,
-            correlation_factorized(config).table,
+            correlation_entangled(config).probabilities,
+            correlation_factorized(config).probabilities,
             atol=1e-12,
         )
 
     def test_factorized_marginals_match_device(self):
         rng = np.random.default_rng(8)
         config = random_config(rng)
-        table = correlation_factorized(config).table
+        table = correlation_factorized(config).probabilities
         final = evolve_experiment(config)
         assert_allclose(table.sum(axis=1), device_marginal(final, 1), atol=1e-12)
         assert_allclose(table.sum(axis=0), device_marginal(final, 2), atol=1e-12)
@@ -349,8 +366,8 @@ class TestCorrelationTables:
         configs.append(ExperimentConfig())  # degenerate spectra, injected basis
         for config in configs:
             assert_allclose(
-                correlation_entangled(config).table,
-                correlation_direct(config).table,
+                correlation_entangled(config).probabilities,
+                correlation_direct(config).probabilities,
                 atol=1e-12,
             )
 
@@ -362,7 +379,7 @@ class TestCorrelationTables:
                 a=-config.b, b=-config.a, theta1=config.theta2, theta2=config.theta1
             )
             for route in (correlation_entangled, correlation_factorized):
-                assert_allclose(route(swapped).table, route(config).table.T, atol=1e-12)
+                assert_allclose(route(swapped).probabilities, route(config).probabilities.T, atol=1e-12)
 
 
 class TestIntuitiveJoint:
@@ -381,7 +398,7 @@ class TestIntuitiveJoint:
         rng = np.random.default_rng(13)
         config = random_config(rng)
         table = intuitive_joint(config)
-        assert_allclose(table.sum(axis=(0, 1)), correlation_factorized(config).table, atol=1e-12)
+        assert_allclose(table.sum(axis=(0, 1)), correlation_factorized(config).probabilities, atol=1e-12)
 
     def test_candidate_marginal_is_coefficient_table(self):
         rng = np.random.default_rng(14)
@@ -444,8 +461,8 @@ class TestAncillaExperiment:
         rng = np.random.default_rng(19)
         for config in (ExperimentConfig(), random_config(rng)):
             assert_allclose(
-                ancilla_device_table(config).table,
-                correlation_factorized(config).table,
+                ancilla_device_table(config).probabilities,
+                correlation_factorized(config).probabilities,
                 atol=1e-12,
             )
 
@@ -460,8 +477,8 @@ class TestAncillaExperiment:
                 gap = float(
                     np.max(
                         np.abs(
-                            correlation_entangled(config).table
-                            - correlation_factorized(config).table
+                            correlation_entangled(config).probabilities
+                            - correlation_factorized(config).probabilities
                         )
                     )
                 )
@@ -469,8 +486,8 @@ class TestAncillaExperiment:
                     best, best_settings = gap, (float(theta1), float(theta2))
         assert best >= 0.2, f"largest interference gap on the grid is only {best}"
         config = ExperimentConfig(theta1=best_settings[0], theta2=best_settings[1])
-        with_ancilla = ancilla_device_table(config).table
-        without = correlation_entangled(config).table
+        with_ancilla = ancilla_device_table(config).probabilities
+        without = correlation_entangled(config).probabilities
         assert float(np.max(np.abs(with_ancilla - without))) >= 0.2
 
     def test_comparison_queries_are_rejected(self):
@@ -502,11 +519,13 @@ class TestChsh:
             assert abs(value) <= 2.0 + 1e-9
 
     def test_product_pair_never_violates(self):
-        rng = np.random.default_rng(21)
-        for _ in range(1500):
-            angles = tuple(rng.uniform(0, 2 * math.pi, size=4))
-            value = chsh("entangled", angles, 1.0, 0.0)
-            assert abs(value) <= 2.0 + 1e-9
+        # one (1500, 4) draw holds the numbers of 1500 successive size-4 draws
+        angles = np.random.default_rng(21).uniform(0, 2 * math.pi, size=(1500, 4))
+        values = chsh("entangled", angles.T, 1.0, 0.0)
+        assert values.shape == (1500,) and np.all(np.abs(values) <= 2.0 + 1e-9)
+        value = chsh("entangled", tuple(angles[0]), 1.0, 0.0)
+        assert isinstance(value, float) and abs(value) <= 2.0 + 1e-9
+        assert abs(value - values[0]) <= 1e-12
 
     def test_direct_route_agrees(self):
         angles = (0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4)
@@ -548,22 +567,22 @@ class TestBatchedSettings:
         broadcast = ExperimentConfig(a=config.a, b=config.b, theta1=config.theta1[0], theta2=config.theta2)
         for route in (correlation_entangled, correlation_factorized):
             for batch in (config, broadcast):
-                tables = route(batch).table
+                tables = route(batch).probabilities
                 assert tables.shape == (12, 2, 2)
                 for table, member in zip(tables, self.members(batch)):
-                    assert np.array_equal(table, route(member).table)
+                    assert np.array_equal(table, route(member).probabilities)
         # the per-point loop on the oracle overlaps, one setting at a time
         c = np.diag(config.coefficients)
-        for table, member in zip(correlation_entangled(config).table, self.members(config)):
+        for table, member in zip(correlation_entangled(config).probabilities, self.members(config)):
             o1, o2 = overlap_matrix(member.theta1, 1), overlap_matrix(member.theta2, 2)
             assert_allclose(table, np.abs(o1 @ c @ o2.T) ** 2, rtol=0, atol=1e-15)
 
     def test_direct_route_matches_per_point(self, rng):
         config = self.batch_config(rng)
-        direct = correlation_direct(config).table
-        closed = correlation_entangled(config).table
+        direct = correlation_direct(config).probabilities
+        closed = correlation_entangled(config).probabilities
         for i, member in enumerate(self.members(config)):
-            assert_allclose(direct[i], correlation_direct(member).table, rtol=0, atol=2e-15)
+            assert_allclose(direct[i], correlation_direct(member).probabilities, rtol=0, atol=2e-15)
         assert_allclose(direct, closed, rtol=0, atol=1e-12)
 
     def test_states_unitaries_and_marginals_match_per_point(self, rng):
@@ -619,9 +638,9 @@ class TestBatchedSettings:
     def test_correlation_table_checks_name_the_member(self):
         good = np.full((2, 2), 0.25)
         with pytest.raises(ValueError, match="batch member 2"):
-            CorrelationTable(((0.0,) * 3, (0.0,) * 3), [good, good, np.diag([1.5, -0.5])], "direct")
+            JointDistribution(DEVICE_AXES, [good, good, np.diag([1.5, -0.5])])
         with pytest.raises(ValueError, match="batch member 0"):
-            CorrelationTable(((0.0,), (0.0,)), [np.full((2, 2), np.nan)], "direct")
+            JointDistribution(DEVICE_AXES, [np.full((2, 2), np.nan)])
 
     def test_ancilla_functions_reject_batches(self):
         config = ExperimentConfig(theta1=(0.1, 0.2), theta2=0.3)

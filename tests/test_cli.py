@@ -30,6 +30,8 @@ from qrs_sim.cli import (
 from qrs_sim.bell import ExperimentConfig
 from qrs_sim.errors import ConfigError, NotNormalized
 
+import cli_corpus
+
 SINGLET_FLAGS = [
     "run",
     "--scenario",
@@ -458,3 +460,16 @@ class TestFuzz:
                     code = exc.code
         assert code in (0, 1, 2)
         assert "Traceback" not in stderr.getvalue()
+
+
+def test_corpus_script_is_repeatable(tmp_path, monkeypatch, capsys):
+    # the byte-identity check between two trees relies on a run of the
+    # corpus script printing the same lines every time
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    outputs = []
+    for _ in range(2):
+        assert cli_corpus.main(["14", str(tmp_path)]) == 0
+        outputs.append(capsys.readouterr().out.splitlines())
+    assert outputs[0] == outputs[1] and len(outputs[0]) == 2 + 14 + 1
+    assert outputs[0][-1].endswith("(bad:2 x 2, help:0 x 2, norm:2 x 2, success:0 x 10)")

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrs_sim import (
-    CorrelationTable,
     DensityOperator,
     ExperimentConfig,
     JointDistribution,
@@ -24,6 +23,7 @@ from qrs_sim import (
     basis_state,
     partial_trace,
 )
+from qrs_sim.bell import DEVICE_AXES
 
 SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0, 1.0, -1.0, 0.5, 2**-0.5, 1e-320])
 REALS = st.one_of(SPECIAL, st.floats(allow_nan=True, allow_infinity=True))
@@ -137,12 +137,11 @@ class TestLibraryFuzz:
     def test_tables(self, data, shape):
         values = data.draw(st.lists(REALS, min_size=math.prod(shape), max_size=math.prod(shape)))
         table = np.array(values).reshape(shape)
-        dist = refused(lambda: JointDistribution(((("A",), 2), (("B",), 2)), table))
-        correlation = refused(lambda: CorrelationTable((0.0, 0.0), table, "direct"))
-        for accepted in (dist and dist.probabilities, correlation and correlation.table):
-            if accepted is not None:
-                assert np.all(np.isfinite(accepted))
-                assert np.all(np.abs(accepted.sum(axis=(-2, -1)) - 1.0) <= 1e-10)
+        # the device-device correlation tables are JointDistributions on DEVICE_AXES
+        dist = refused(lambda: JointDistribution(DEVICE_AXES, table))
+        if dist is not None:
+            assert np.all(np.isfinite(dist.probabilities))
+            assert np.all(np.abs(dist.probabilities.sum(axis=(-2, -1)) - 1.0) <= 1e-10)
 
     @FUZZ
     @given(seed=SAMPLER_SEEDS, n=SAMPLER_ARGUMENTS)

@@ -19,12 +19,14 @@ from qrs_sim import (
     basis_state,
     eig_hermitian,
     internal_state_candidates,
+    joint_distribution,
     partial_trace,
+    state_of,
     tensor_product,
 )
 from qrs_sim import reference
 
-from oracles import eig_hermitian_by_columns, embed_operator, projector
+from oracles import candidates_by_lists, eig_hermitian_by_columns, embed_operator, projector
 
 
 # --------------------------------------------------------------------------- #
@@ -129,6 +131,19 @@ class TestStateVector:
         for amplitudes in ([1.0, 1.0], [float("nan"), 0.0], [1e308, 1e308]):
             with pytest.raises(NotNormalized):
                 StateVector(space, amplitudes)
+
+    def test_norm_rule_is_the_trace_rule(self):
+        # the squared norm is held to 1e-12, as is the trace of every density
+        # operator taken from the state, so no accepted state fails a trace
+        space = SpaceRegistry([("A", 2), ("B", 2)])
+        singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+        with pytest.raises(NotNormalized, match="squared state norm"):
+            StateVector(space, singlet * (1 + 9e-13))
+        state = StateVector(space, singlet * (1 + 4.5e-13))
+        ref = ReferenceSystem(state, isolated=True)
+        assert abs(state_of("A", ref).trace() - 1.0) <= 1e-12
+        assert joint_distribution([("A",), ("B",)], ref).probabilities.shape == (2, 2)
+        assert abs(state.density().trace() - 1.0) <= 1e-12
 
     def test_normalize_mode(self):
         space = SpaceRegistry([("A", 2)])
@@ -424,6 +439,23 @@ class TestEigHermitianOracle:
         loops = [spectrum_bits(internal_state_candidates(system, ref)) for ref, system in cases]
         assert arrays == loops
         assert any(degenerate for degenerate, _ in arrays) and not all(degenerate for degenerate, _ in arrays)
+
+    def test_candidate_cut_matches_list_rule(self):
+        # only the gap from the kept 5e-10 down to the dropped 0 is below 1e-9
+        edge = DensityOperator(SpaceRegistry([("A", 3)]), np.diag([1 - 5e-10, 5e-10, 0.0]))
+        kept = []
+        for rho in [*spectrum_inputs(), edge]:
+            # a purification on (A, R) whose reduced state on A is rho
+            values, vectors = np.linalg.eigh(rho.matrix)
+            d = len(values)
+            root = vectors * np.sqrt(np.clip(values, 0.0, None))
+            ref = ReferenceSystem(StateVector(SpaceRegistry([("A", d), ("R", d)]), root.reshape(-1)), isolated=True)
+            candidates = internal_state_candidates("A", ref)
+            expected = candidates_by_lists(eig_hermitian(state_of("A", ref)))
+            assert spectrum_bits(candidates) == spectrum_bits(expected), rho.matrix
+            kept.append((len(candidates), d))
+        assert any(n == d for n, d in kept) and any(n < d for n, d in kept)
+        assert kept[-1] == (2, 3) and candidates.degenerate
 
 
 class TestProjector:

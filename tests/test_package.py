@@ -5,7 +5,6 @@ import qrs_sim
 PUBLIC = (
     "CandidateAssignment",
     "ConfigError",
-    "CorrelationTable",
     "DensityOperator",
     "ExperimentConfig",
     "JointDistribution",
