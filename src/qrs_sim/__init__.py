@@ -30,7 +30,6 @@ from .linalg import (
     tensor_product,
 )
 from .reference import (
-    CandidateAssignment,
     JointDistribution,
     ReferenceSystem,
     internal_state_candidates,

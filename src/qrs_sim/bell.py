@@ -132,12 +132,9 @@ def _side(which: int) -> int:
 def entangled_pair_state(config: ExperimentConfig) -> StateVector:
     """The two-particle state sum_l c_l |phi_{1,l}> |phi_{2,l}> on (P1, P2)."""
     space = SpaceRegistry([(P1, SPIN_DIM), (P2, SPIN_DIM)])
-    amps = np.zeros(space.dim, dtype=complex)
-    for l, c in enumerate(config.coefficients, start=1):
-        s1 = PAIR_BASIS[1][l - 1]
-        s2 = PAIR_BASIS[2][l - 1]
-        amps[s1 * SPIN_DIM + s2] = c
-    return StateVector(space, amps)
+    amps = np.zeros((SPIN_DIM, SPIN_DIM), dtype=complex)
+    amps[PAIR_BASIS[1], PAIR_BASIS[2]] = config.coefficients
+    return StateVector(space, amps.reshape(-1))
 
 
 def _spin_rows(theta) -> np.ndarray:

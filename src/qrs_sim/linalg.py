@@ -54,6 +54,11 @@ def _check(ok, error: type, message) -> None:
         raise error((f"batch member {i}: " if np.ndim(ok) else "") + message(i))
 
 
+def _is_index(value) -> bool:
+    """An index is a Python or numpy integer, never a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _single(operation: str, *values) -> None:
     """Reject a batch where ``operation`` is defined for a single value."""
     for value in values:
@@ -69,6 +74,18 @@ def _square(space: "SpaceRegistry", matrix) -> tuple[np.ndarray, int | None]:
         raise ValueError(f"matrix shape {mat.shape} is not ({d}, {d}) or (B, {d}, {d})")
     mat.flags.writeable = False
     return mat, (len(mat) if mat.ndim == 3 else None)
+
+
+def _front(space: "SpaceRegistry", labels) -> list[int]:
+    """Axis order of a ``(B, *dims)`` tensor on ``space`` with the axes of
+    ``labels`` first, in the order given, and the rest in registry order."""
+    axes = [1 + space.axis(label) for label in labels]
+    return [0] + axes + [i for i in range(1, len(space.dims) + 1) if i not in axes]
+
+
+def _grouped(state: "StateVector", labels) -> np.ndarray:
+    """The ``(B, *dims)`` amplitude tensor of ``state`` in ``_front`` order."""
+    return state.amplitudes.reshape(-1, *state.space.dims).transpose(_front(state.space, labels))
 
 
 class SpaceRegistry:
@@ -197,13 +214,8 @@ class StateVector:
             raise UnknownLabel(
                 f"{new_labels} is not a permutation of {self.space.labels}"
             )
-        perm = [self.space.axis(label) for label in new_labels]
-        tensor = self.amplitudes.reshape(self.space.dims)
-        out = np.ascontiguousarray(tensor.transpose(perm)).reshape(-1)
-        new_space = SpaceRegistry(
-            (label, self.space.dims[self.space.axis(label)]) for label in new_labels
-        )
-        return StateVector(new_space, out)
+        tensor = _grouped(self, new_labels)
+        return StateVector(SpaceRegistry(zip(new_labels, tensor.shape[1:])), tensor.reshape(-1))
 
     def __repr__(self) -> str:
         return f"StateVector({self.space!r}, dim={self.space.dim})"
@@ -228,15 +240,12 @@ class Operator:
         be normalized (the package only ever applies norm-preserving maps to
         states); a non-unitary application raises NotNormalized."""
         space = state.space
-        axes = []
         for label, dim in self.space.entries:
-            axis = space.axis(label)
-            if space.dims[axis] != dim:
+            if space.dims[space.axis(label)] != dim:
                 raise ValueError(f"dimension mismatch for label {label!r}")
-            axes.append(1 + axis)
         if None not in (self.batch, state.batch) and self.batch != state.batch:
             raise ValueError(f"operator batch of {self.batch} does not match state batch of {state.batch}")
-        perm = [0] + axes + [i for i in range(1, len(space.dims) + 1) if i not in axes]
+        perm = _front(space, self.space.labels)
         tensor = state.amplitudes.reshape(-1, *space.dims).transpose(perm)
         with np.errstate(over="ignore", invalid="ignore"):  # StateVector refuses what is not finite
             moved = self.matrix @ tensor.reshape(len(tensor), self.space.dim, -1)
@@ -278,28 +287,22 @@ class DensityOperator:
         return f"DensityOperator({self.space!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Eigendecomposition result, sorted by descending eigenvalue.
+    """Eigendecomposition result: ``eigenvalues``, a read-only float array
+    in descending order, and ``states``, the eigenstate of each.
 
     ``degenerate`` reports whether any two adjacent eigenvalues are closer
     than ``DEGENERACY_GAP``; degeneracy is reported, never silently
     resolved, because the eigenbasis is not unique in that case.
     """
 
-    pairs: tuple[tuple[float, StateVector], ...]
+    eigenvalues: np.ndarray
+    states: tuple[StateVector, ...]
     degenerate: bool
 
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.array([value for value, _ in self.pairs])
-
-    @property
-    def states(self) -> tuple[StateVector, ...]:
-        return tuple(state for _, state in self.pairs)
-
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.states)
 
 
 def tensor_product(first: StateVector, second: StateVector, *rest: StateVector) -> StateVector:
@@ -332,18 +335,16 @@ def partial_trace(rho: DensityOperator | StateVector, keep) -> DensityOperator:
     if not kept:
         raise ValueError("keep must name at least one label")
     sub = space.restrict(kept)
-    kept_axes = [space.axis(label) for label in kept]
-    order = [1 + i for i in kept_axes + [i for i in range(len(space.dims)) if i not in kept_axes]]
     dt = space.dim // sub.dim
     if isinstance(rho, StateVector):
         # (B, kept, traced) -> (B, dk, dt); the reduced state is m m^dagger
-        m = rho.amplitudes.reshape(-1, *space.dims).transpose([0] + order).reshape(-1, sub.dim, dt)
+        m = _grouped(rho, kept).reshape(-1, sub.dim, dt)
         reduced = m @ m.conj().swapaxes(1, 2)
     else:
         # (B, kept, traced, kept, traced) -> (B, dk, dt, dk, dt), then trace
         # the two traced axes; no einsum index limit on the factor count
-        n = len(order)
-        tensor = rho.matrix.reshape(-1, *space.dims, *space.dims).transpose([0] + order + [n + i for i in order])
+        order, n = _front(space, kept), len(space.dims)
+        tensor = rho.matrix.reshape(-1, *space.dims, *space.dims).transpose(order + [n + i for i in order[1:]])
         reduced = np.trace(tensor.reshape(-1, sub.dim, dt, sub.dim, dt), axis1=2, axis2=4)
     return DensityOperator(sub, reduced if rho.batch else reduced[0])
 
@@ -377,19 +378,16 @@ def eig_hermitian(rho: DensityOperator) -> Spectrum:
     ))
     parts = np.stack([vectors.real, vectors.imag], axis=1).reshape(-1, len(values))
     vectors = vectors[:, np.lexsort([*parts[::-1], block])]
-    gaps = np.abs(np.diff(values))
-    degenerate = bool(gaps.size and float(np.min(gaps)) < DEGENERACY_GAP)
-    pairs = tuple(
-        (float(value), StateVector(rho.space, column)) for value, column in zip(values, vectors.T)
-    )
-    return Spectrum(pairs=pairs, degenerate=degenerate)
+    degenerate = bool((np.abs(np.diff(values)) < DEGENERACY_GAP).any())
+    values.flags.writeable = False
+    return Spectrum(values, tuple(StateVector(rho.space, column) for column in vectors.T), degenerate)
 
 
 def basis_state(space: SpaceRegistry, index: int | Sequence[int]) -> StateVector:
     """Standard basis vector, addressed by flat index or one index per factor."""
     flat = isinstance(index, (int, float, np.number))
     index, dims = ((index,), (space.dim,)) if flat else (tuple(index), space.dims)
-    if len(index) != len(dims) or not all(isinstance(i, (int, np.integer)) and 0 <= i < d for i, d in zip(index, dims)):
+    if len(index) != len(dims) or not all(_is_index(i) and 0 <= i < d for i, d in zip(index, dims)):
         shown = (index[0], dims[0]) if flat else (index, dims)
         raise ValueError("basis index %r is outside the integers 0 <= index < %r" % shown)
     amps = np.zeros(space.dim, dtype=complex)

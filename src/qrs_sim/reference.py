@@ -36,8 +36,9 @@ from .linalg import (
     StateVector,
     eig_hermitian,
     partial_trace,
-    _as_label_tuple,
     _check,
+    _grouped,
+    _is_index,
     _single,
 )
 
@@ -61,31 +62,8 @@ class ReferenceSystem:
     isolated: bool = False
 
     @property
-    def labels(self) -> tuple[str, ...]:
-        return self.state.space.labels
-
-    @property
     def space(self) -> SpaceRegistry:
         return self.state.space
-
-
-@dataclass(frozen=True)
-class CandidateAssignment:
-    """One candidate index per subsystem, for a joint-probability query."""
-
-    entries: tuple[tuple[tuple[str, ...], int], ...]
-
-    @classmethod
-    def of(cls, *pairs) -> "CandidateAssignment":
-        return cls(tuple((_as_label_tuple(labels), int(index)) for labels, index in pairs))
-
-    @property
-    def systems(self) -> tuple[tuple[str, ...], ...]:
-        return tuple(labels for labels, _ in self.entries)
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(index for _, index in self.entries)
 
 
 @dataclass(frozen=True)
@@ -128,9 +106,10 @@ class JointDistribution:
     def marginal(self, keep_axes: Sequence[int]) -> "JointDistribution":
         """Sum out every axis not listed; kept axes stay in ascending order."""
         _single("JointDistribution.marginal", self)
-        keep = sorted(set(int(i) for i in keep_axes))
-        if not keep or any(i < 0 or i >= len(self.axes) for i in keep):
+        keep = list(keep_axes)
+        if not keep or not all(_is_index(i) and 0 <= i < len(self.axes) for i in keep):
             raise ValueError(f"keep_axes {keep_axes} invalid for {len(self.axes)} axes")
+        keep = sorted(set(keep))
         drop = tuple(i for i in range(len(self.axes)) if i not in keep)
         table = self.probabilities.sum(axis=drop) if drop else self.probabilities
         return JointDistribution(tuple(self.axes[i] for i in keep), table)
@@ -139,7 +118,7 @@ class JointDistribution:
         """Flat cell indices of ``n`` inverse-CDF draws; deterministic for a
         fixed seed."""
         for name, value in (("seed", seed), ("n", n)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+            if not _is_index(value) or value < 0:
                 raise ValueError(f"{name} must be a non-negative integer (not a bool), got {value!r}")
         flat = np.clip(self.probabilities.reshape(-1), 0.0, None)
         cdf = np.cumsum(flat)
@@ -194,7 +173,7 @@ def internal_state_candidates(subsystem, reference: ReferenceSystem) -> Spectrum
         raise ValueError("reduced state has no eigenvalue above the cutoff")
     # descending order: the kept values and the largest dropped one are a prefix
     gaps = -np.diff(values[: kept + 1])
-    return Spectrum(pairs=spectrum.pairs[:kept], degenerate=bool((gaps < DEGENERACY_GAP).any()))
+    return Spectrum(values[:kept], spectrum.states[:kept], bool((gaps < DEGENERACY_GAP).any()))
 
 
 def _normalized_systems(systems, reference: ReferenceSystem) -> list[tuple[str, ...]]:
@@ -219,12 +198,12 @@ def _check_disjoint(systems: list[tuple[str, ...]]) -> None:
                 )
 
 
-def _candidate_states(
+def _candidate_kets(
     systems: list[tuple[str, ...]],
     reference: ReferenceSystem,
     candidates,
-) -> list[tuple[StateVector, ...]]:
-    """Candidate state lists per system, either spectral or caller-supplied.
+) -> list[np.ndarray]:
+    """Candidate kets per system as ``(d, n)`` columns, spectral or caller-supplied.
 
     Supplied candidates must be single states on the system's labels
     (registry order), be orthonormal, and be eigenstates of the system's
@@ -232,7 +211,8 @@ def _candidate_states(
     when the spectrum is degenerate.
     """
     if candidates is None:
-        return [internal_state_candidates(system, reference).states for system in systems]
+        candidates = [internal_state_candidates(system, reference).states for system in systems]
+        return [np.array([phi.amplitudes for phi in states]).T for states in candidates]
     if len(candidates) != len(systems):
         raise ValueError("candidates must align one list per system")
     out = []
@@ -252,12 +232,12 @@ def _candidate_states(
         weights = (kets.conj() * images).sum(axis=-2)
         ok = np.linalg.norm(images - weights[..., None, :] * kets, axis=-2) <= EIGENSTATE_TOL
         _check(ok.all(axis=-1), ValueError, lambda i: f"candidate {np.argmin(ok[i])} for {name} is not an eigenstate")
-        out.append(states)
+        out.append(kets)
     return out
 
 
 def joint_probability(
-    assignment: CandidateAssignment | Sequence,
+    assignment: Sequence,
     reference: ReferenceSystem,
     *,
     candidates=None,
@@ -266,20 +246,23 @@ def joint_probability(
     assigned candidate: the trace of the product of candidate projectors
     against the reduced state of the union of the subsystems.
 
-    The subsystems must be pairwise disjoint; any shared label raises
+    ``assignment`` lists ``(labels, index)`` pairs, one per subsystem.  The
+    subsystems must be pairwise disjoint; any shared label raises
     :class:`NonDisjointSystems`.
     """
     _single("joint_probability", reference.state)
-    if not isinstance(assignment, CandidateAssignment):
-        assignment = CandidateAssignment.of(*assignment)
-    dist = joint_distribution(assignment.systems, reference, candidates=candidates)
-    for (system, count), index in zip(dist.axes, assignment.indices):
+    pairs = [(labels, index) for labels, index in assignment]
+    dist = joint_distribution([labels for labels, _ in pairs], reference, candidates=candidates)
+    indices = tuple(index for _, index in pairs)
+    for (system, count), index in zip(dist.axes, indices):
+        if not _is_index(index):
+            raise ValueError(f"candidate index for {'+'.join(system)} must be an integer (not a bool), got {index!r}")
         # numpy would read a negative index from the end of the axis
         if not 0 <= index < count:
             raise IndexError(
                 f"candidate index {index} out of range for {'+'.join(system)} ({count} candidates)"
             )
-    return float(dist.probabilities[assignment.indices])
+    return float(dist.probabilities[indices])
 
 
 def joint_distribution(systems, reference: ReferenceSystem, *, candidates=None) -> JointDistribution:
@@ -292,19 +275,15 @@ def joint_distribution(systems, reference: ReferenceSystem, *, candidates=None) 
     if not systems:
         raise ValueError("at least one subsystem is required")
     _check_disjoint(systems)
+    kets = _candidate_kets(systems, reference, candidates)
     # amplitude tensor as (B, D_1, ..., D_k, R), B = 1 for a single state:
     # system axes first, each system's labels flattened in registry order
-    space = reference.space
-    front = [space.axis(label) for system in systems for label in system]
-    rest = [i for i in range(len(space.dims)) if i not in front]
-    tensor = reference.state.amplitudes.reshape(-1, *space.dims).transpose([0] + [1 + i for i in front + rest])
-    tensor = tensor.reshape(len(tensor), *(space.restrict(system).dim for system in systems), -1)
-    states = _candidate_states(systems, reference, candidates)
+    tensor = _grouped(reference.state, [label for system in systems for label in system])
+    tensor = tensor.reshape(len(tensor), *(len(columns) for columns in kets), -1)
     # contracting axis 1 with each system's bras in turn leaves
     # (B, R, n_1, ..., n_k)
-    for options in states:
-        bras = np.array([phi.amplitudes for phi in options]).conj()
-        tensor = np.tensordot(tensor, bras, axes=(1, 1))
+    for columns in kets:
+        tensor = np.tensordot(tensor, columns.conj(), axes=(1, 0))
     table = np.clip(np.sum(np.abs(tensor) ** 2, axis=1), 0.0, 1.0)
     axes = tuple((system, n) for system, n in zip(systems, table.shape[1:]))
     return JointDistribution(axes=axes, probabilities=table if reference.state.batch else table[0])

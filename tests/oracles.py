@@ -163,10 +163,7 @@ def eig_hermitian_by_columns(rho: DensityOperator) -> Spectrum:
         i = j
     gaps = np.abs(np.diff(values))
     degenerate = bool(gaps.size and float(np.min(gaps)) < DEGENERACY_GAP)
-    pairs = tuple(
-        (float(values[i]), StateVector(rho.space, columns[i])) for i in range(len(values))
-    )
-    return Spectrum(pairs=pairs, degenerate=degenerate)
+    return Spectrum(values, tuple(StateVector(rho.space, column) for column in columns), degenerate)
 
 
 def candidates_by_lists(spectrum: Spectrum) -> Spectrum:
@@ -174,13 +171,14 @@ def candidates_by_lists(spectrum: Spectrum) -> Spectrum:
     pairs above the cutoff and flag degeneracy when a gap between kept
     eigenvalues, or from the last kept one down to the largest dropped one,
     is below ``DEGENERACY_GAP``."""
-    kept = [(value, state) for value, state in spectrum.pairs if value > CANDIDATE_CUTOFF]
+    pairs = list(zip(spectrum.eigenvalues, spectrum.states))
+    kept = [(value, state) for value, state in pairs if value > CANDIDATE_CUTOFF]
     if not kept:
         raise ValueError("reduced state has no eigenvalue above the cutoff")
     values = [value for value, _ in kept]
     gaps = [values[i] - values[i + 1] for i in range(len(values) - 1)]
-    dropped = [value for value, _ in spectrum.pairs if value <= CANDIDATE_CUTOFF]
+    dropped = [value for value, _ in pairs if value <= CANDIDATE_CUTOFF]
     if dropped:
         gaps.append(values[-1] - max(dropped))
     degenerate = bool(gaps and min(gaps) < DEGENERACY_GAP)
-    return Spectrum(pairs=tuple(kept), degenerate=degenerate)
+    return Spectrum(np.array(values), tuple(state for _, state in kept), degenerate)

@@ -18,9 +18,12 @@ from qrs_sim import (
     JointDistribution,
     Operator,
     QrsError,
+    ReferenceSystem,
     SpaceRegistry,
     StateVector,
     basis_state,
+    joint_distribution,
+    joint_probability,
     partial_trace,
 )
 from qrs_sim.bell import DEVICE_AXES
@@ -40,6 +43,9 @@ SAMPLER_ARGUMENTS = st.one_of(
     REALS,
 )
 SAMPLER_SEEDS = st.one_of(SAMPLER_ARGUMENTS, st.integers(-(2**70), 2**70))
+#: candidate indices and table axes: only a plain or numpy integer (not a
+#: bool) is an index, whatever int() would make of the rest
+INDICES = st.one_of(st.integers(-3, 4), REALS, st.booleans(), st.text(max_size=2))
 
 
 def refused(call):
@@ -58,6 +64,17 @@ def entries(shape):
 
 def batch_shapes(core):
     return st.one_of(st.just(core), st.integers(1, 3).map(lambda b: (b,) + core))
+
+
+def first_fault(indices, count):
+    """The error the first bad index raises, None if all are good: indices
+    are checked axis by axis, each for its type, then for its range."""
+    for index in indices:
+        if type(index) is not int:
+            return ValueError
+        if not 0 <= index < count:
+            return IndexError
+    return None
 
 
 def assert_valid_state(state):
@@ -111,6 +128,9 @@ class TestLibraryFuzz:
             st.tuples(st.integers(-3, 4), st.integers(-3, 4)),
             st.tuples(REALS, st.integers(0, 2)),
             st.lists(st.integers(0, 2), max_size=3),
+            st.booleans(),
+            st.text(max_size=2),
+            st.tuples(st.booleans(), st.integers(0, 2)),
         )
     )
     def test_basis_state(self, index):
@@ -118,6 +138,7 @@ class TestLibraryFuzz:
         if state is not None:
             assert_valid_state(state)
             assert np.count_nonzero(state.amplitudes) == 1
+            assert all(type(i) is int for i in (index if isinstance(index, (tuple, list)) else [index]))
 
     @FUZZ
     @given(
@@ -160,3 +181,33 @@ class TestLibraryFuzz:
             assert freq.shape == (2, 3) and abs(freq.sum() - 1.0) <= 1e-12
             counts = np.array([[draws.count((j, k)) for k in range(3)] for j in range(2)])
             assert np.array_equal(freq, counts / n)
+
+    @FUZZ
+    @given(first=INDICES, second=INDICES)
+    def test_candidate_indices(self, first, second):
+        # rank 2 on (A: 2, B: 3), so each of A and B has two spectral candidates
+        reference = ReferenceSystem(StateVector(SPACE, np.arange(1.0, 7.0), normalize=True), isolated=True)
+        table = joint_distribution(["A", "B"], reference).probabilities
+        assert table.shape == (2, 2)
+        fault = first_fault((first, second), 2)
+        try:
+            p = refused(lambda: joint_probability([("A", first), ("B", second)], reference))
+        except IndexError:
+            assert fault is IndexError
+            return
+        if fault is None:
+            assert p == float(table[first, second])
+        else:
+            assert fault is ValueError and p is None
+
+    @FUZZ
+    @given(keep=st.lists(INDICES, max_size=3))
+    def test_marginal_axes(self, keep):
+        dist = JointDistribution(((("A",), 2), (("B",), 3)), np.array([[0.1, 0.0, 0.2], [0.3, 0.4, 0.0]]))
+        marginal = refused(lambda: dist.marginal(keep))
+        if keep and all(type(i) is int and 0 <= i < 2 for i in keep):
+            kept = sorted(set(keep))
+            assert marginal.axes == tuple(dist.axes[i] for i in kept)
+            assert marginal.probabilities.shape == tuple(count for _, count in marginal.axes)
+        else:
+            assert marginal is None

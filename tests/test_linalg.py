@@ -392,9 +392,10 @@ class TestEigHermitian:
 
 
 def spectrum_bits(spectrum):
-    """Every bit of a spectrum: the flag, then each eigenvalue and the raw
-    bytes of its amplitudes (signed zeros included)."""
-    return spectrum.degenerate, [(np.float64(value).tobytes(), state.amplitudes.tobytes()) for value, state in spectrum.pairs]
+    """Every bit of a spectrum: the flag, the eigenvalue dtype and raw bytes,
+    and the raw bytes of each state's amplitudes (signed zeros included)."""
+    values = spectrum.eigenvalues
+    return spectrum.degenerate, values.dtype.str, values.tobytes(), [state.amplitudes.tobytes() for state in spectrum.states]
 
 
 def spectrum_inputs():
@@ -419,6 +420,18 @@ def spectrum_inputs():
     yield DensityOperator(SpaceRegistry([("A", 8)]), u @ np.diag(chain) @ u.conj().T)
 
 
+def purified_inputs():
+    """Each ``spectrum_inputs`` density, then one whose only gap below 1e-9
+    runs from the kept 5e-10 down to the dropped 0, paired with an isolated
+    purification on (A, R) whose reduced state on A is that density."""
+    edge = DensityOperator(SpaceRegistry([("A", 3)]), np.diag([1 - 5e-10, 5e-10, 0.0]))
+    for rho in [*spectrum_inputs(), edge]:
+        values, vectors = np.linalg.eigh(rho.matrix)
+        d = len(values)
+        root = vectors * np.sqrt(np.clip(values, 0.0, None))
+        yield rho, ReferenceSystem(StateVector(SpaceRegistry([("A", d), ("R", d)]), root.reshape(-1)), isolated=True)
+
+
 class TestEigHermitianOracle:
     def test_matches_column_loop_bit_for_bit(self):
         count = 0
@@ -438,24 +451,31 @@ class TestEigHermitianOracle:
         monkeypatch.setattr(reference, "eig_hermitian", eig_hermitian_by_columns)
         loops = [spectrum_bits(internal_state_candidates(system, ref)) for ref, system in cases]
         assert arrays == loops
-        assert any(degenerate for degenerate, _ in arrays) and not all(degenerate for degenerate, _ in arrays)
+        assert any(bits[0] for bits in arrays) and not all(bits[0] for bits in arrays)
 
     def test_candidate_cut_matches_list_rule(self):
-        # only the gap from the kept 5e-10 down to the dropped 0 is below 1e-9
-        edge = DensityOperator(SpaceRegistry([("A", 3)]), np.diag([1 - 5e-10, 5e-10, 0.0]))
         kept = []
-        for rho in [*spectrum_inputs(), edge]:
-            # a purification on (A, R) whose reduced state on A is rho
-            values, vectors = np.linalg.eigh(rho.matrix)
-            d = len(values)
-            root = vectors * np.sqrt(np.clip(values, 0.0, None))
-            ref = ReferenceSystem(StateVector(SpaceRegistry([("A", d), ("R", d)]), root.reshape(-1)), isolated=True)
+        for rho, ref in purified_inputs():
             candidates = internal_state_candidates("A", ref)
             expected = candidates_by_lists(eig_hermitian(state_of("A", ref)))
             assert spectrum_bits(candidates) == spectrum_bits(expected), rho.matrix
-            kept.append((len(candidates), d))
+            kept.append((len(candidates), len(rho.matrix)))
         assert any(n == d for n, d in kept) and any(n < d for n, d in kept)
         assert kept[-1] == (2, 3) and candidates.degenerate
+
+    def test_fields_read_only_and_aligned(self):
+        for rho, ref in purified_inputs():
+            full = eig_hermitian(rho)
+            assert len(full) == len(rho.matrix)
+            for spectrum in (full, internal_state_candidates("A", ref)):
+                values = spectrum.eigenvalues
+                assert values.dtype == float and not values.flags.writeable
+                with pytest.raises(ValueError):
+                    values[0] = 0.0
+                assert len(values) == len(spectrum.states) == len(spectrum) and (np.diff(values) <= 0).all()
+                for value, state in zip(values, spectrum.states):
+                    assert state.space == rho.space and state.batch is None
+                    assert np.abs(rho.matrix @ state.amplitudes - value * state.amplitudes).max() <= 1e-10
 
 
 class TestProjector:

@@ -3,7 +3,6 @@
 import qrs_sim
 
 PUBLIC = (
-    "CandidateAssignment",
     "ConfigError",
     "DensityOperator",
     "ExperimentConfig",

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qrs_sim import (
-    CandidateAssignment,
     JointDistribution,
     NonDisjointSystems,
     NotIsolated,
@@ -177,11 +176,10 @@ class TestJointProbability:
         with pytest.raises(NotIsolated):
             joint_probability([("M", 0)], ref)
 
-    def test_assignment_type_roundtrip(self):
-        assignment = CandidateAssignment.of(("P1", 0), ("P2", 0))
-        assert assignment.systems == (("P1",), ("P2",))
-        assert assignment.indices == (0, 0)
-        assert abs(joint_probability(assignment, pair_system()) - 0.64) < 1e-12
+    def test_assignment_pairs(self):
+        # a subsystem may be named by a bare label or by a tuple of labels
+        assert abs(joint_probability([("P1", 0), (("P2",), 0)], pair_system()) - 0.64) < 1e-12
+        assert abs(joint_probability([(("P2",), 1), ("P1", 1)], pair_system()) - 0.36) < 1e-12
 
     def test_rejects_non_eigenstate_candidates(self):
         ref = pair_system()
