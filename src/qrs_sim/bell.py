@@ -198,14 +198,18 @@ def experiment_space() -> SpaceRegistry:
     return SpaceRegistry([(P1, SPIN_DIM), (M1, POINTER_DIM), (P2, SPIN_DIM), (M2, POINTER_DIM)])
 
 
+@lru_cache(maxsize=None)
+def pointer_ready_state(label: str) -> StateVector:
+    """The ready basis state of a pointer device."""
+    return basis_state(pointer_space(label), READY)
+
+
 def evolve_experiment(config: ExperimentConfig) -> StateVector:
     """Final state on (P1, M1, P2, M2): both local measurement unitaries
     applied to the pair state with both pointers ready, each contracted
     with its own particle and pointer axes (a batch for a batched config)."""
     start = tensor_product(
-        entangled_pair_state(config),
-        basis_state(pointer_space(M1), READY),
-        basis_state(pointer_space(M2), READY),
+        entangled_pair_state(config), pointer_ready_state(M1), pointer_ready_state(M2)
     ).reorder(experiment_space().labels)
     moved = measurement_unitary(config.theta1, P1, M1).apply(start)
     return measurement_unitary(config.theta2, P2, M2).apply(moved)
@@ -312,12 +316,18 @@ def ancilla_candidate_states(config: ExperimentConfig, which: int) -> tuple[Stat
     state is degenerate whenever |c_1| = |c_2| and an eigendecomposition
     could return any basis of the degenerate subspace.  One setting only.
     """
+    chi = _ancilla_chi(config, which)
+    return tuple(StateVector(chi.space, amps) for amps in chi.amplitudes)
+
+
+def _ancilla_chi(config: ExperimentConfig, which: int) -> StateVector:
+    """chi_1, chi_2 of ``ancilla_candidate_states`` as one batch of two."""
     _single("ancilla_candidate_states", config)
     side = _side(which)
     space = SpaceRegistry(zip(_SIDE_LABELS[side][:2], (SPIN_DIM, POINTER_DIM)))
     theta = config.theta(side)
     chi = np.einsum("jl,js,jm->lsm", outcome_overlaps(theta, side), _spin_rows(theta), np.eye(POINTER_DIM)[1:])
-    return tuple(StateVector(space, amps) for amps in chi.reshape(2, -1))
+    return StateVector(space, chi.reshape(2, -1))
 
 
 def ancilla_recording_unitary(config: ExperimentConfig, which: int) -> Operator:
@@ -328,8 +338,7 @@ def ancilla_recording_unitary(config: ExperimentConfig, which: int) -> Operator:
     chi states themselves untouched."""
     side = _side(which)
     space = SpaceRegistry(zip(_SIDE_LABELS[side], (SPIN_DIM, POINTER_DIM, POINTER_DIM)))
-    chi = np.array([state.amplitudes for state in ancilla_candidate_states(config, side)])
-    return Operator(space, _controlled_swap(chi, complete=True))
+    return Operator(space, _controlled_swap(_ancilla_chi(config, side).amplitudes, complete=True))
 
 
 def ancilla_experiment(config: ExperimentConfig) -> StateVector:
@@ -337,11 +346,7 @@ def ancilla_experiment(config: ExperimentConfig) -> StateVector:
     both ancilla recordings, each recording unitary contracted with its own
     particle, device and ancilla axes.  One setting only."""
     _single("ancilla_experiment", config)
-    start = tensor_product(
-        evolve_experiment(config),
-        basis_state(pointer_space(A1), READY),
-        basis_state(pointer_space(A2), READY),
-    )
+    start = tensor_product(evolve_experiment(config), pointer_ready_state(A1), pointer_ready_state(A2))
     w1 = ancilla_recording_unitary(config, 1)
     w2 = ancilla_recording_unitary(config, 2)
     return w2.apply(w1.apply(start))

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import bell
 from .errors import ConfigError, NotNormalized, QrsError
-from .linalg import StateVector, basis_state, tensor_product
+from .linalg import StateVector, tensor_product
 from .reference import JointDistribution, ReferenceSystem, internal_state_candidates, state_of
 
 SCENARIOS = ("intro-measurement", "pair-correlations", "bell", "bell-ancilla", "chsh-scan")
@@ -324,7 +324,7 @@ def _attach_sampling(report: RunReport, dist: JointDistribution, axis_names) -> 
 
 def _run_intro(spec: ScenarioSpec) -> RunReport:
     spin = StateVector(bell.particle_space("P"), [spec.a, spec.b])
-    start = tensor_product(spin, basis_state(bell.pointer_space("M"), bell.READY))
+    start = tensor_product(spin, bell.pointer_ready_state("M"))
     unitary = bell.measurement_unitary(spec.theta1, "P", "M")
     final = unitary.apply(start)
     reference = ReferenceSystem(final, isolated=True)

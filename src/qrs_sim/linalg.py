@@ -42,6 +42,8 @@ def _as_label_tuple(labels) -> tuple[str, ...]:
     """Normalize a single label or an iterable of labels to a tuple."""
     if isinstance(labels, str):
         return (labels,)
+    if not np.iterable(labels):
+        raise UnknownLabel(f"labels must be a label or an iterable of labels, got {labels!r}")
     return tuple(labels)
 
 
@@ -96,7 +98,7 @@ class SpaceRegistry:
     order (leftmost label = slowest index).
     """
 
-    __slots__ = ("entries", "labels", "dims", "dim", "_axis")
+    __slots__ = ("entries", "labels", "dims", "dim", "_axis", "_restricted")
 
     def __init__(self, entries: Iterable[tuple[str, int]]):
         entries = tuple((str(label), int(dim)) for label, dim in entries)
@@ -120,6 +122,7 @@ class SpaceRegistry:
         self.dims = tuple(dim for _, dim in entries)
         self.dim = total
         self._axis = axis
+        self._restricted: dict[tuple[str, ...], SpaceRegistry] = {}
 
     def axis(self, label: str) -> int:
         try:
@@ -129,16 +132,19 @@ class SpaceRegistry:
 
     def resolve(self, labels) -> tuple[str, ...]:
         """Return the requested labels deduplicated, in registry order."""
-        requested = set(_as_label_tuple(labels))
+        requested = _as_label_tuple(labels)
         for label in requested:
-            if label not in self._axis:
+            if not isinstance(label, str) or label not in self._axis:
                 raise UnknownLabel(f"label {label!r} not in space {self.labels}")
         return tuple(label for label in self.labels if label in requested)
 
     def restrict(self, labels) -> "SpaceRegistry":
-        """Sub-registry over the given labels, kept in registry order."""
+        """Sub-registry over the given labels, kept in registry order; built
+        once per label set, as the registry never changes."""
         kept = self.resolve(labels)
-        return SpaceRegistry((label, self.entries[self.axis(label)][1]) for label in kept)
+        if kept not in self._restricted:
+            self._restricted[kept] = SpaceRegistry((label, self.entries[self.axis(label)][1]) for label in kept)
+        return self._restricted[kept]
 
     def __contains__(self, label: str) -> bool:
         return label in self._axis
@@ -265,17 +271,8 @@ class DensityOperator:
 
     def __init__(self, space: SpaceRegistry, matrix):
         mat, self.batch = _square(space, matrix)
-        # every guard is written so that NaN fails it, and overflow to inf
-        # or NaN fails it silently
-        with np.errstate(over="ignore", invalid="ignore"):
-            herm = np.abs(mat - mat.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-            trace = np.trace(mat, axis1=-2, axis2=-1)
-        ok = herm <= HERMITIAN_TOL
-        _check(ok, NotHermitian, lambda i: f"Hermiticity residual {herm[i]:.3e} exceeds {HERMITIAN_TOL}")
-        ok = np.abs(trace - 1.0) <= TRACE_TOL
-        _check(ok, ValueError, lambda i: f"trace {complex(trace[i])!r} deviates from 1 by more than {TRACE_TOL}")
-        smallest = np.linalg.eigvalsh(mat)[..., 0]
-        _check(smallest >= -PSD_TOL, ValueError, lambda i: f"negative eigenvalue {smallest[i]:.3e} below -{PSD_TOL}")
+        for rule in _density_rules(mat):
+            _check(*rule)
         self.space = space
         self.matrix = mat
 
@@ -285,6 +282,29 @@ class DensityOperator:
 
     def __repr__(self) -> str:
         return f"DensityOperator({self.space!r})"
+
+
+def _density_rules(mat: np.ndarray) -> list:
+    """The density-operator rules for every matrix of a ``(..., d, d)``
+    stack, as ``(ok, error, message)`` in the order they are checked:
+    Hermiticity and trace within 1e-12, eigenvalues >= -1e-12.  ``ok`` is an
+    array over the leading axes, and ``message(i)`` describes the failure
+    of member ``i``.  One ``eigvalsh`` covers the stack; a matrix that
+    breaks either of the first two rules, and so is refused before its
+    eigenvalues matter, enters it as zeros."""
+    # every guard is written so that NaN fails it, and overflow to inf or
+    # NaN fails it silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm = np.abs(mat - mat.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        trace = np.trace(mat, axis1=-2, axis2=-1)
+    hermitian, unit = herm <= HERMITIAN_TOL, np.abs(trace - 1.0) <= TRACE_TOL
+    ok = hermitian & unit
+    smallest = np.linalg.eigvalsh(mat if ok.all() else np.where(ok[..., None, None], mat, 0))[..., 0]
+    return [
+        (hermitian, NotHermitian, lambda i: f"Hermiticity residual {herm[i]:.3e} exceeds {HERMITIAN_TOL}"),
+        (unit, ValueError, lambda i: f"trace {complex(trace[i])!r} deviates from 1 by more than {TRACE_TOL}"),
+        (smallest >= -PSD_TOL, ValueError, lambda i: f"negative eigenvalue {smallest[i]:.3e} below -{PSD_TOL}"),
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,18 +355,25 @@ def partial_trace(rho: DensityOperator | StateVector, keep) -> DensityOperator:
     if not kept:
         raise ValueError("keep must name at least one label")
     sub = space.restrict(kept)
-    dt = space.dim // sub.dim
     if isinstance(rho, StateVector):
-        # (B, kept, traced) -> (B, dk, dt); the reduced state is m m^dagger
-        m = _grouped(rho, kept).reshape(-1, sub.dim, dt)
-        reduced = m @ m.conj().swapaxes(1, 2)
+        reduced = _pure_reduced(rho, [kept], sub.dim)
     else:
         # (B, kept, traced, kept, traced) -> (B, dk, dt, dk, dt), then trace
         # the two traced axes; no einsum index limit on the factor count
-        order, n = _front(space, kept), len(space.dims)
+        order, n, dt = _front(space, kept), len(space.dims), space.dim // sub.dim
         tensor = rho.matrix.reshape(-1, *space.dims, *space.dims).transpose(order + [n + i for i in order[1:]])
         reduced = np.trace(tensor.reshape(-1, sub.dim, dt, sub.dim, dt), axis1=2, axis2=4)
     return DensityOperator(sub, reduced if rho.batch else reduced[0])
+
+
+def _pure_reduced(state: StateVector, systems, dim: int) -> np.ndarray:
+    """Reduced states of the pure ``state`` on each label group in
+    ``systems`` (each of total dimension ``dim``, labels in registry order),
+    stacked system-major as ``(k * B, dim, dim)``, B = 1 for a single state:
+    with the amplitudes of a group grouped as ``m`` = (B, kept, traced), the
+    reduced state is m m^dagger."""
+    m = np.concatenate([_grouped(state, kept).reshape(-1, dim, state.space.dim // dim) for kept in systems])
+    return m @ m.conj().swapaxes(1, 2)
 
 
 def eig_hermitian(rho: DensityOperator) -> Spectrum:
@@ -385,7 +412,7 @@ def eig_hermitian(rho: DensityOperator) -> Spectrum:
 
 def basis_state(space: SpaceRegistry, index: int | Sequence[int]) -> StateVector:
     """Standard basis vector, addressed by flat index or one index per factor."""
-    flat = isinstance(index, (int, float, np.number))
+    flat = not np.iterable(index)
     index, dims = ((index,), (space.dim,)) if flat else (tuple(index), space.dims)
     if len(index) != len(dims) or not all(_is_index(i) and 0 <= i < d for i, d in zip(index, dims)):
         shown = (index[0], dims[0]) if flat else (index, dims)

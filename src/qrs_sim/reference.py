@@ -37,8 +37,10 @@ from .linalg import (
     eig_hermitian,
     partial_trace,
     _check,
+    _density_rules,
     _grouped,
     _is_index,
+    _pure_reduced,
     _single,
 )
 
@@ -106,7 +108,7 @@ class JointDistribution:
     def marginal(self, keep_axes: Sequence[int]) -> "JointDistribution":
         """Sum out every axis not listed; kept axes stay in ascending order."""
         _single("JointDistribution.marginal", self)
-        keep = list(keep_axes)
+        keep = list(keep_axes) if np.iterable(keep_axes) else None
         if not keep or not all(_is_index(i) and 0 <= i < len(self.axes) for i in keep):
             raise ValueError(f"keep_axes {keep_axes} invalid for {len(self.axes)} axes")
         keep = sorted(set(keep))
@@ -176,9 +178,16 @@ def internal_state_candidates(subsystem, reference: ReferenceSystem) -> Spectrum
     return Spectrum(values[:kept], spectrum.states[:kept], bool((gaps < DEGENERACY_GAP).any()))
 
 
+def _listed(values, name: str) -> tuple:
+    """``values`` as a tuple; ``ValueError`` naming ``name`` if it is not iterable."""
+    if not np.iterable(values):
+        raise ValueError(f"{name} must be an iterable, got {values!r}")
+    return tuple(values)
+
+
 def _normalized_systems(systems, reference: ReferenceSystem) -> list[tuple[str, ...]]:
     out = []
-    for system in systems:
+    for system in _listed(systems, "systems"):
         labels = reference.space.resolve(system)
         if not labels:
             raise UnknownLabel("a subsystem must name at least one label")
@@ -208,32 +217,75 @@ def _candidate_kets(
     Supplied candidates must be single states on the system's labels
     (registry order), be orthonormal, and be eigenstates of the system's
     reduced state in every member; this is how scenario code pins a basis
-    when the spectrum is degenerate.
+    when the spectrum is degenerate.  The list checks run first, system by
+    system; the rest take one stacked pass per system dimension
+    (``_check_supplied``).
     """
     if candidates is None:
         candidates = [internal_state_candidates(system, reference).states for system in systems]
         return [np.array([phi.amplitudes for phi in states]).T for states in candidates]
+    candidates = _listed(candidates, "candidates")
     if len(candidates) != len(systems):
         raise ValueError("candidates must align one list per system")
     out = []
     for system, states in zip(systems, candidates):
-        rho = partial_trace(reference.state, system)
+        sub = reference.space.restrict(system)
         name = "+".join(system)
-        states = tuple(states)
+        states = _listed(states, f"candidates for {name}")
         if not states:
             raise ValueError(f"no candidates given for {name}")
         for k, phi in enumerate(states):
-            if phi.space != rho.space or phi.batch is not None:
-                raise ValueError(f"candidate {k} for {name} is on {phi.space!r}, expected one state on {rho.space!r}")
-        kets = np.array([phi.amplitudes for phi in states]).T
-        if not (np.abs(kets.conj().T @ kets - np.eye(len(states))) <= EIGENSTATE_TOL).all():
-            raise ValueError(f"candidates for {name} are not orthogonal")
-        images = rho.matrix @ kets
-        weights = (kets.conj() * images).sum(axis=-2)
-        ok = np.linalg.norm(images - weights[..., None, :] * kets, axis=-2) <= EIGENSTATE_TOL
-        _check(ok.all(axis=-1), ValueError, lambda i: f"candidate {np.argmin(ok[i])} for {name} is not an eigenstate")
-        out.append(kets)
+            if not isinstance(phi, StateVector):
+                raise ValueError(f"candidate {k} for {name} must be a StateVector, got {phi!r}")
+            if phi.space != sub or phi.batch is not None:
+                raise ValueError(f"candidate {k} for {name} is on {phi.space!r}, expected one state on {sub!r}")
+        out.append(np.array([phi.amplitudes for phi in states]).T)
+    _check_supplied(systems, reference.state, out)
     return out
+
+
+def _check_supplied(systems: list[tuple[str, ...]], state: StateVector, kets: list[np.ndarray]) -> None:
+    """Refuse supplied candidate ``kets`` that are not orthonormal
+    eigenstates of their system's reduced state in every member.
+
+    All systems of one dimension ``d`` share one pass: their reduced states
+    over all members come from one ``_pure_reduced`` stack and meet the
+    density-operator rules in one ``_density_rules`` call; their kets, side
+    by side, take one Gram product, and one 2-D product applies every
+    reduced state to every ket (a system's check ignores the columns of the
+    others).  Only when some check fails are the systems walked in the
+    order given, each one's density rules first, then orthogonality, then
+    the eigenstate rule, to raise for the first fault, naming the state's
+    batch member that fails.
+    """
+    lead = (state.batch,) if state.batch else ()
+    passed, groups = True, []
+    for d in {len(columns) for columns in kets}:
+        group = [j for j, columns in enumerate(kets) if len(columns) == d]
+        rho = _pure_reduced(state, [systems[j] for j in group], d).reshape(len(group), *lead, d, d)
+        side_by_side = np.concatenate([kets[j] for j in group], axis=1)
+        # owner[c] is the row in ``group`` of the system whose ket is column c
+        owner = np.repeat(np.arange(len(group)), [kets[j].shape[1] for j in group])
+        gram = np.abs(side_by_side.conj().T @ side_by_side - np.eye(len(owner))) <= EIGENSTATE_TOL
+        orthonormal = (gram | (owner[:, None] != owner)).all(axis=0)
+        images = (rho.reshape(-1, d) @ side_by_side).reshape(*rho.shape[:-1], len(owner))
+        weights = (side_by_side.conj() * images).sum(axis=-2)
+        eigen = np.linalg.norm(images - weights[..., None, :] * side_by_side, axis=-2) <= EIGENSTATE_TOL
+        others = (owner != np.arange(len(group))[:, None]).reshape(len(group), *(1,) * len(lead), -1)
+        passed &= all(ok.all() for ok, _, _ in _density_rules(rho)) and orthonormal.all() and (eigen | others).all()
+        groups.append((group, rho, orthonormal, eigen, owner))
+    if passed:
+        return
+    where = {j: (row, *arrays) for group, *arrays in groups for row, j in enumerate(group)}
+    for j, system in enumerate(systems):
+        row, rho, orthonormal, eigen, owner = where[j]
+        name = "+".join(system)
+        for rule in _density_rules(rho[row]):
+            _check(*rule)
+        if not orthonormal[owner == row].all():
+            raise ValueError(f"candidates for {name} are not orthogonal")
+        ok = eigen[row][..., owner == row]
+        _check(ok.all(axis=-1), ValueError, lambda i: f"candidate {np.argmin(ok[i])} for {name} is not an eigenstate")
 
 
 def joint_probability(
@@ -251,7 +303,10 @@ def joint_probability(
     :class:`NonDisjointSystems`.
     """
     _single("joint_probability", reference.state)
-    pairs = [(labels, index) for labels, index in assignment]
+    try:
+        pairs = [(labels, index) for labels, index in assignment]
+    except (TypeError, ValueError):
+        raise ValueError(f"assignment must list (labels, index) pairs, got {assignment!r}") from None
     dist = joint_distribution([labels for labels, _ in pairs], reference, candidates=candidates)
     indices = tuple(index for _, index in pairs)
     for (system, count), index in zip(dist.axes, indices):

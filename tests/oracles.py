@@ -9,7 +9,9 @@ Sampling is likewise checked against drawing one index tuple per pick and
 counting the tuples one at a time, and the spectral ordering against fixing
 the phase of one column at a time and sorting each tied block in a loop.
 The cut of a spectrum to internal-state candidates is checked against
-listing the kept and dropped eigenvalues and their gaps.
+listing the kept and dropped eigenvalues and their gaps, and the stacked
+check of supplied candidates against checking one system at a time on its
+own reduced density operator.
 """
 
 import numpy as np
@@ -23,10 +25,13 @@ from qrs_sim.linalg import (
     SpaceRegistry,
     Spectrum,
     StateVector,
+    _check,
     _single,
+    partial_trace,
 )
 from qrs_sim.reference import (
     CANDIDATE_CUTOFF,
+    EIGENSTATE_TOL,
     JointDistribution,
     ReferenceSystem,
     _check_disjoint,
@@ -182,3 +187,30 @@ def candidates_by_lists(spectrum: Spectrum) -> Spectrum:
         gaps.append(values[-1] - max(dropped))
     degenerate = bool(gaps and min(gaps) < DEGENERACY_GAP)
     return Spectrum(np.array(values), tuple(state for _, state in kept), degenerate)
+
+
+def candidate_kets_by_system(systems, reference: ReferenceSystem, candidates) -> list[np.ndarray]:
+    """Supplied candidates checked one system at a time: each system takes
+    its own reduced ``DensityOperator``, Gram check and per-member
+    eigen-residual, and its ``(d, n)`` kets are returned in system order."""
+    if len(candidates) != len(systems):
+        raise ValueError("candidates must align one list per system")
+    out = []
+    for system, states in zip(systems, candidates):
+        rho = partial_trace(reference.state, system)
+        name = "+".join(system)
+        states = tuple(states)
+        if not states:
+            raise ValueError(f"no candidates given for {name}")
+        for k, phi in enumerate(states):
+            if phi.space != rho.space or phi.batch is not None:
+                raise ValueError(f"candidate {k} for {name} is on {phi.space!r}, expected one state on {rho.space!r}")
+        kets = np.array([phi.amplitudes for phi in states]).T
+        if not (np.abs(kets.conj().T @ kets - np.eye(len(states))) <= EIGENSTATE_TOL).all():
+            raise ValueError(f"candidates for {name} are not orthogonal")
+        images = rho.matrix @ kets
+        weights = (kets.conj() * images).sum(axis=-2)
+        ok = np.linalg.norm(images - weights[..., None, :] * kets, axis=-2) <= EIGENSTATE_TOL
+        _check(ok.all(axis=-1), ValueError, lambda i: f"candidate {np.argmin(ok[i])} for {name} is not an eigenstate")
+        out.append(kets)
+    return out

@@ -22,6 +22,7 @@ from qrs_sim import (
     SpaceRegistry,
     StateVector,
     basis_state,
+    internal_state_candidates,
     joint_distribution,
     joint_probability,
     partial_trace,
@@ -46,6 +47,10 @@ SAMPLER_SEEDS = st.one_of(SAMPLER_ARGUMENTS, st.integers(-(2**70), 2**70))
 #: candidate indices and table axes: only a plain or numpy integer (not a
 #: bool) is an index, whatever int() would make of the rest
 INDICES = st.one_of(st.integers(-3, 4), REALS, st.booleans(), st.text(max_size=2))
+#: values that are not iterable, drawn where a sequence is expected
+NON_ITERABLES = st.one_of(st.none(), st.integers(-3, 4), REALS, st.booleans(), st.builds(object))
+#: rank 2 on (A: 2, B: 3), so each of A and B has two spectral candidates
+RANK_TWO = ReferenceSystem(StateVector(SPACE, np.arange(1.0, 7.0), normalize=True), isolated=True)
 
 
 def refused(call):
@@ -131,6 +136,8 @@ class TestLibraryFuzz:
             st.booleans(),
             st.text(max_size=2),
             st.tuples(st.booleans(), st.integers(0, 2)),
+            NON_ITERABLES,
+            st.lists(NON_ITERABLES, max_size=2),
         )
     )
     def test_basis_state(self, index):
@@ -185,8 +192,7 @@ class TestLibraryFuzz:
     @FUZZ
     @given(first=INDICES, second=INDICES)
     def test_candidate_indices(self, first, second):
-        # rank 2 on (A: 2, B: 3), so each of A and B has two spectral candidates
-        reference = ReferenceSystem(StateVector(SPACE, np.arange(1.0, 7.0), normalize=True), isolated=True)
+        reference = RANK_TWO
         table = joint_distribution(["A", "B"], reference).probabilities
         assert table.shape == (2, 2)
         fault = first_fault((first, second), 2)
@@ -201,11 +207,62 @@ class TestLibraryFuzz:
             assert fault is ValueError and p is None
 
     @FUZZ
-    @given(keep=st.lists(INDICES, max_size=3))
+    @given(
+        assignment=st.one_of(
+            NON_ITERABLES,
+            st.lists(
+                st.one_of(
+                    NON_ITERABLES,
+                    st.text(max_size=3),
+                    st.tuples(st.sampled_from(["A", "B", ("A",)]), st.integers(0, 1)),
+                    st.tuples(st.one_of(NON_ITERABLES, st.lists(NON_ITERABLES, max_size=2)), st.integers(0, 1)),
+                    st.tuples(st.just("A"), st.just(0), st.just(1)),
+                ),
+                max_size=3,
+            ),
+        )
+    )
+    def test_assignment_argument(self, assignment):
+        p = refused(lambda: joint_probability(assignment, RANK_TWO))
+        if p is not None:
+            assert 0.0 <= p <= 1.0
+
+    @FUZZ
+    @given(
+        systems=st.one_of(
+            NON_ITERABLES,
+            st.lists(
+                st.one_of(st.sampled_from(["A", "B", ("A",), ("A", "B")]), NON_ITERABLES, st.lists(NON_ITERABLES, max_size=2)),
+                max_size=3,
+            ),
+        )
+    )
+    def test_systems_argument(self, systems):
+        dist = refused(lambda: joint_distribution(systems, RANK_TWO))
+        if dist is not None:
+            assert abs(dist.probabilities.sum() - 1.0) <= 1e-10
+
+    @FUZZ
+    @given(data=st.data())
+    def test_candidates_argument(self, data):
+        spectral = [internal_state_candidates(label, RANK_TWO).states for label in ("A", "B")]
+        batched = StateVector(spectral[0][0].space, [spectral[0][0].amplitudes] * 2)
+        entries = st.one_of(NON_ITERABLES, st.sampled_from([*spectral[0], *spectral[1], batched]))
+        lists = st.one_of(NON_ITERABLES, st.lists(entries, max_size=3), st.sampled_from(spectral))
+        candidates = data.draw(st.one_of(NON_ITERABLES, st.lists(lists, max_size=3)))
+        dist = refused(lambda: joint_distribution(["A", "B"], RANK_TWO, candidates=candidates))
+        if dist is not None:
+            # only the two spectral candidates of each system, in some
+            # order, are orthonormal eigenstates that fill the table
+            assert dist.probabilities.shape == (2, 2)
+            assert abs(dist.probabilities.sum() - 1.0) <= 1e-10
+
+    @FUZZ
+    @given(keep=st.one_of(st.lists(INDICES, max_size=3), NON_ITERABLES))
     def test_marginal_axes(self, keep):
         dist = JointDistribution(((("A",), 2), (("B",), 3)), np.array([[0.1, 0.0, 0.2], [0.3, 0.4, 0.0]]))
         marginal = refused(lambda: dist.marginal(keep))
-        if keep and all(type(i) is int and 0 <= i < 2 for i in keep):
+        if isinstance(keep, list) and keep and all(type(i) is int and 0 <= i < 2 for i in keep):
             kept = sorted(set(keep))
             assert marginal.axes == tuple(dist.axes[i] for i in kept)
             assert marginal.probabilities.shape == tuple(count for _, count in marginal.axes)

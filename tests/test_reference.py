@@ -8,6 +8,7 @@ from qrs_sim import (
     JointDistribution,
     NonDisjointSystems,
     NotIsolated,
+    QrsError,
     ReferenceSystem,
     SpaceRegistry,
     StateVector,
@@ -22,14 +23,19 @@ from qrs_sim import (
 )
 from qrs_sim.bell import (
     ExperimentConfig,
+    ancilla_candidate_states,
     ancilla_experiment,
     entangled_pair_state,
     evolve_experiment,
     particle_candidate_states,
     pointer_outcome_states,
+    pointer_ready_state,
+    pointer_space,
 )
+from qrs_sim.linalg import Operator
+from qrs_sim.reference import _candidate_kets, _normalized_systems
 
-from oracles import count_draws, joint_distribution_by_projectors, sample_by_picks
+from oracles import candidate_kets_by_system, count_draws, joint_distribution_by_projectors, sample_by_picks
 
 
 def post_measurement_system(alpha=0.6, beta=0.8):
@@ -200,7 +206,7 @@ class TestJointProbability:
         space = SpaceRegistry([("P1", 2)])
         one = StateVector(space, [1.0, 0.0])
         tilted = StateVector(space, [0.8, 0.6])
-        with pytest.raises(ValueError, match="orthogonal"):
+        with pytest.raises(ValueError, match="^candidates for P1 are not orthogonal$"):
             joint_probability(
                 [("P1", 0), ("P2", 0)],
                 ref,
@@ -210,7 +216,8 @@ class TestJointProbability:
     def test_rejects_candidates_on_wrong_space(self):
         ref = pair_system()
         wrong = basis_state(SpaceRegistry([("P2", 2)]), 0)
-        with pytest.raises(ValueError, match="on"):
+        expected = r"^candidate 0 for P1 is on SpaceRegistry\(P2:2\), expected one state on SpaceRegistry\(P1:2\)$"
+        with pytest.raises(ValueError, match=expected):
             joint_probability(
                 [("P1", 0), ("P2", 0)],
                 ref,
@@ -487,3 +494,133 @@ class TestBatchedJointDistribution:
         stacked = StateVector(m1[0].space, [m1[0].amplitudes, m1[0].amplitudes])
         with pytest.raises(ValueError, match="expected one state"):
             joint_distribution([("M1",)], ref, candidates=[(stacked, m1[1])])
+
+
+def stacked(states):
+    """One batched state from single states on one registry."""
+    return ReferenceSystem(StateVector(states[0].space, [state.amplitudes for state in states]), isolated=True)
+
+
+def turned_outcomes(label, angle):
+    """The outcome states of pointer ``label`` turned by ``angle`` within
+    the outcome slots: orthonormal, and eigenstates of a device's reduced
+    state only when ``angle`` is 0."""
+    c, s = np.cos(angle), np.sin(angle)
+    space = pointer_space(label)
+    return StateVector(space, [0.0, c, s]), StateVector(space, [0.0, -s, c])
+
+
+def supplied_candidate_cases():
+    """``(name, systems, reference, candidates, refusal)`` cases, where
+    ``refusal`` is the message the call must raise, None if it is accepted."""
+    angles = ((0.4, 1.3), (-2.1, 0.7), (2.9, -1.2))
+    configs = [ExperimentConfig(a=0.6, b=0.8j, theta1=t1, theta2=t2) for t1, t2 in angles]
+    evolved = [evolve_experiment(config) for config in configs]
+    single = ReferenceSystem(evolved[0], isolated=True)
+    pointers = [("M1",), ("M2",)]
+    outcomes = [pointer_outcome_states("M1"), pointer_outcome_states("M2")]
+    pair_basis = [particle_candidate_states(1), particle_candidate_states(2)]
+    # equal settings, different pairs: the chi states fit every member
+    coefficients = ((0.6, 0.8j), (0.8, -0.6), (2**-0.5, 2**-0.5))
+    same_angles = [ExperimentConfig(a=a, b=b, theta1=0.4, theta2=1.3) for a, b in coefficients]
+    chi = [ancilla_candidate_states(configs[0], 1), ancilla_candidate_states(configs[0], 2)]
+    # pointers still ready: every pointer basis state is an eigenstate, so
+    # the 3-dim group mixes three candidates with two (each list holds the
+    # ready state, so the table sums to 1)
+    ready = [
+        tensor_product(entangled_pair_state(config), pointer_ready_state("M1"), pointer_ready_state("M2"))
+        for config in same_angles
+    ]
+    mixed = [("P1",), ("M1",), ("P2",), ("M2",)]
+    mixed_candidates = [
+        pair_basis[0], (pointer_ready_state("M1"), *outcomes[0]), pair_basis[1], (outcomes[1][1], pointer_ready_state("M2"))
+    ]
+    # member 2 turns M2 inside its outcome slots, which leaves M1 as it was
+    c, s = np.cos(0.3), np.sin(0.3)
+    turn = Operator(pointer_space("M2"), [[1, 0, 0], [0, c, -s], [0, s, c]])
+    one_bad_member = stacked(evolved[:2] + [turn.apply(evolved[2])])
+    e = 1e-9
+    return [
+        ("pointers, single", pointers, single, outcomes, None),
+        ("pointers, batch", pointers, stacked(evolved), outcomes, None),
+        ("pointers, reversed", pointers[::-1], stacked(evolved), outcomes[::-1], None),
+        ("four pointers", [("A1",), ("A2",), ("M1",), ("M2",)],
+         ReferenceSystem(ancilla_experiment(configs[1]), isolated=True),
+         [pointer_outcome_states(label) for label in ("A1", "A2", "M1", "M2")], None),
+        ("pair, single", [("P1",), ("P2",)], pair_system(), pair_basis, None),
+        ("pair, batch", [("P1",), ("P2",)], stacked([entangled_pair_state(c) for c in same_angles]), pair_basis, None),
+        ("chi, single", [("P1", "M1"), ("P2", "M2")], single, chi, None),
+        ("chi, batch", [("P1", "M1"), ("P2", "M2")], stacked([evolve_experiment(c) for c in same_angles]), chi, None),
+        ("dims 2 and 3, single", mixed, ReferenceSystem(ready[0], isolated=True), mixed_candidates, None),
+        ("dims 2 and 3, batch", mixed, stacked(ready), mixed_candidates, None),
+        ("not orthogonal", pointers, single,
+         [(outcomes[0][0], StateVector(pointer_space("M1"), [0.0, 1.0, 1.0], normalize=True)), outcomes[1]],
+         "candidates for M1 are not orthogonal"),
+        ("wrong registry", pointers, single, [outcomes[1], outcomes[1]],
+         "candidate 0 for M1 is on SpaceRegistry(M2:3), expected one state on SpaceRegistry(M1:3)"),
+        ("member 2 of M2", pointers, one_bad_member, outcomes,
+         "batch member 2: candidate 0 for M2 is not an eigenstate"),
+        ("turned by 1e-9", pointers, single, [turned_outcomes("M1", e), outcomes[1]],
+         "candidate 0 for M1 is not an eigenstate"),
+        ("one off by 1e-9", pointers, single,
+         [(StateVector(pointer_space("M1"), [0.0, np.cos(e), np.sin(e)]), outcomes[0][1]), outcomes[1]],
+         "candidates for M1 are not orthogonal"),
+        ("turned by 1e-13", pointers, stacked(evolved), [turned_outcomes("M1", 1e-13), outcomes[1]], None),
+    ]
+
+
+def checked(call):
+    """The kets' shapes, dtypes and bytes, or the refusal's type and text."""
+    try:
+        return [(kets.shape, kets.dtype, kets.tobytes()) for kets in call()]
+    except (QrsError, ValueError) as error:
+        return type(error), str(error)
+
+
+class TestSuppliedCandidates:
+    @pytest.mark.parametrize("case", supplied_candidate_cases(), ids=lambda case: case[0])
+    def test_stacked_pass_matches_per_system_oracle(self, case):
+        _, systems, reference, candidates, refusal = case
+        systems = _normalized_systems(systems, reference)
+        got = checked(lambda: _candidate_kets(systems, reference, candidates))
+        assert got == checked(lambda: candidate_kets_by_system(systems, reference, candidates))
+        assert got == ((ValueError, refusal) if refusal else got)
+        if refusal is None:
+            assert isinstance(got, list) and len(got) == len(systems)
+
+    def test_one_reduced_state_pass_per_dimension(self, monkeypatch):
+        import qrs_sim.reference as reference_module
+
+        calls = []
+
+        def counted(state, systems, dim):
+            calls.append((len(systems), dim))
+            return real(state, systems, dim)
+
+        real = reference_module._pure_reduced
+        monkeypatch.setattr(reference_module, "_pure_reduced", counted)
+        for name, systems, reference, candidates, refusal in supplied_candidate_cases():
+            if refusal is None:
+                calls.clear()
+                joint_distribution(systems, reference, candidates=candidates)
+                dims = {reference.space.restrict(system).dim for system in systems}
+                assert sorted(dim for _, dim in calls) == sorted(dims), name
+                assert sum(count for count, _ in calls) == len(systems), name
+
+    def test_bad_arguments_are_named(self):
+        ref = pair_system()
+        calls = [
+            ("basis index None", lambda: basis_state(SpaceRegistry([("A", 2)]), None)),
+            (r"assignment must list \(labels, index\) pairs, got \[5\]", lambda: joint_probability([5], ref)),
+            ("assignment must list", lambda: joint_probability(None, ref)),
+            ("keep_axes None", lambda: joint_distribution(["P1", "P2"], ref).marginal(None)),
+            ("systems must be an iterable, got None", lambda: joint_distribution(None, ref)),
+            ("candidates must be an iterable, got 5", lambda: joint_distribution(["P1"], ref, candidates=5)),
+            ("candidates for P1 must be an iterable, got 5", lambda: joint_distribution(["P1"], ref, candidates=[5])),
+            ("candidate 0 for P1 must be a StateVector, got 5", lambda: joint_distribution(["P1"], ref, candidates=[[5]])),
+        ]
+        for message, call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
+        with pytest.raises(UnknownLabel, match="labels must be a label or an iterable of labels, got 5"):
+            joint_distribution([5], ref)
