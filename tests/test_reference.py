@@ -32,7 +32,7 @@ from qrs_sim.bell import (
     pointer_ready_state,
     pointer_space,
 )
-from qrs_sim.linalg import Operator
+from qrs_sim.linalg import Operator, _pure_reduced
 from qrs_sim.reference import _candidate_kets, _normalized_systems
 
 from oracles import candidate_kets_by_system, count_draws, joint_distribution_by_projectors, sample_by_picks
@@ -589,16 +589,13 @@ class TestSuppliedCandidates:
             assert isinstance(got, list) and len(got) == len(systems)
 
     def test_one_reduced_state_pass_per_dimension(self, monkeypatch):
-        import qrs_sim.reference as reference_module
-
         calls = []
 
         def counted(state, systems, dim):
             calls.append((len(systems), dim))
-            return real(state, systems, dim)
+            return _pure_reduced(state, systems, dim)
 
-        real = reference_module._pure_reduced
-        monkeypatch.setattr(reference_module, "_pure_reduced", counted)
+        monkeypatch.setattr("qrs_sim.reference._pure_reduced", counted)
         for name, systems, reference, candidates, refusal in supplied_candidate_cases():
             if refusal is None:
                 calls.clear()
@@ -624,3 +621,5 @@ class TestSuppliedCandidates:
                 call()
         with pytest.raises(UnknownLabel, match="labels must be a label or an iterable of labels, got 5"):
             joint_distribution([5], ref)
+        with pytest.raises(UnknownLabel, match=r"label \['P1'\] not in space"):
+            joint_distribution([[["P1"]]], ref)
