@@ -497,14 +497,15 @@ class TestBatchedJointDistribution:
 
 
 def stacked(states):
-    """One batched state from single states on one registry."""
+    """An isolated reference system whose state batches single states on
+    one registry."""
     return ReferenceSystem(StateVector(states[0].space, [state.amplitudes for state in states]), isolated=True)
 
 
 def turned_outcomes(label, angle):
     """The outcome states of pointer ``label`` turned by ``angle`` within
-    the outcome slots: orthonormal, and eigenstates of a device's reduced
-    state only when ``angle`` is 0."""
+    the outcome slots: orthonormal, and, unless the device's two outcomes
+    are equally likely, eigenstates of its reduced state only at angle 0."""
     c, s = np.cos(angle), np.sin(angle)
     space = pointer_space(label)
     return StateVector(space, [0.0, c, s]), StateVector(space, [0.0, -s, c])
