@@ -98,7 +98,7 @@ class SpaceRegistry:
     order (leftmost label = slowest index).
     """
 
-    __slots__ = ("entries", "labels", "dims", "dim", "_axis", "_restricted")
+    __slots__ = ("entries", "labels", "dims", "dim", "_axis")
 
     def __init__(self, entries: Iterable[tuple[str, int]]):
         entries = tuple((str(label), int(dim)) for label, dim in entries)
@@ -122,7 +122,6 @@ class SpaceRegistry:
         self.dims = tuple(dim for _, dim in entries)
         self.dim = total
         self._axis = axis
-        self._restricted: dict[tuple[str, ...], SpaceRegistry] = {}
 
     def axis(self, label: str) -> int:
         try:
@@ -139,12 +138,9 @@ class SpaceRegistry:
         return tuple(label for label in self.labels if label in requested)
 
     def restrict(self, labels) -> "SpaceRegistry":
-        """Sub-registry over the given labels, kept in registry order; built
-        once per label set, as the registry never changes."""
+        """Sub-registry over the given labels, kept in registry order."""
         kept = self.resolve(labels)
-        if kept not in self._restricted:
-            self._restricted[kept] = SpaceRegistry((label, self.entries[self.axis(label)][1]) for label in kept)
-        return self._restricted[kept]
+        return SpaceRegistry((label, self.entries[self.axis(label)][1]) for label in kept)
 
     def __contains__(self, label: str) -> bool:
         return label in self._axis

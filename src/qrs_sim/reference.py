@@ -254,12 +254,12 @@ def _check_supplied(systems: list[tuple[str, ...]], state: StateVector, kets: li
     by side, take one Gram product, and one 2-D product applies every
     reduced state to every ket (a system's check ignores the columns of the
     others).  Only when some check fails are the systems walked in the
-    order given, each one's density rules first, then orthogonality, then
-    the eigenstate rule, to raise for the first fault, naming the state's
-    batch member that fails.
+    order given, reading each one's row of those results: its density rules
+    first, then orthogonality, then the eigenstate rule, to raise for the
+    first fault, naming the state's batch member that fails.
     """
     lead = (state.batch,) if state.batch else ()
-    passed, groups = True, []
+    passed, rows = True, {}
     for d in {len(columns) for columns in kets}:
         group = [j for j, columns in enumerate(kets) if len(columns) == d]
         rho = _pure_reduced(state, [systems[j] for j in group], d).reshape(len(group), *lead, d, d)
@@ -272,19 +272,19 @@ def _check_supplied(systems: list[tuple[str, ...]], state: StateVector, kets: li
         weights = (side_by_side.conj() * images).sum(axis=-2)
         eigen = np.linalg.norm(images - weights[..., None, :] * side_by_side, axis=-2) <= EIGENSTATE_TOL
         others = (owner != np.arange(len(group))[:, None]).reshape(len(group), *(1,) * len(lead), -1)
-        passed &= all(ok.all() for ok, _, _ in _density_rules(rho)) and orthonormal.all() and (eigen | others).all()
-        groups.append((group, rho, orthonormal, eigen, owner))
+        density = _density_rules(rho)
+        passed &= all(ok.all() for ok, _, _ in density) and orthonormal.all() and (eigen | others).all()
+        rows.update((j, (row, density, orthonormal, eigen, owner == row)) for row, j in enumerate(group))
     if passed:
         return
-    where = {j: (row, *arrays) for group, *arrays in groups for row, j in enumerate(group)}
     for j, system in enumerate(systems):
-        row, rho, orthonormal, eigen, owner = where[j]
+        row, density, orthonormal, eigen, mine = rows[j]
         name = "+".join(system)
-        for rule in _density_rules(rho[row]):
-            _check(*rule)
-        if not orthonormal[owner == row].all():
+        for ok, error, message in density:
+            _check(ok[row], error, lambda i: message((row, i) if lead else row))
+        if not orthonormal[mine].all():
             raise ValueError(f"candidates for {name} are not orthogonal")
-        ok = eigen[row][..., owner == row]
+        ok = eigen[row][..., mine]
         _check(ok.all(axis=-1), ValueError, lambda i: f"candidate {np.argmin(ok[i])} for {name} is not an eigenstate")
 
 

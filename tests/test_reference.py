@@ -589,6 +589,37 @@ class TestSuppliedCandidates:
         if refusal is None:
             assert isinstance(got, list) and len(got) == len(systems)
 
+    @pytest.mark.parametrize("fault", ["hermiticity", "trace", "negative eigenvalue"])
+    def test_density_faults_match_per_system_oracle(self, monkeypatch, fault):
+        # a reduced state of a StateVector meets the density rules, so the
+        # fault is put into one system's reduced state, in one member, on
+        # the kernel both routes share
+        def faulty(target, member):
+            def reduced(state, systems, dim):
+                out = _pure_reduced(state, systems, dim).copy()
+                for row, kept in enumerate(systems):
+                    if tuple(kept) == target:
+                        k = row * (state.batch or 1) + member
+                        if fault == "hermiticity":
+                            out[k, 0, 1] += 1e-6
+                        elif fault == "trace":
+                            out[k] *= 1.5
+                        else:
+                            out[k] = np.diag([1.5, -0.5] + [0.0] * (dim - 2))
+                return out
+            return reduced
+
+        for name, systems, reference, candidates, refusal in supplied_candidate_cases():
+            if refusal is None:
+                systems = _normalized_systems(systems, reference)
+                for target in systems:
+                    for member in sorted({0, (reference.state.batch or 1) - 1}):
+                        monkeypatch.setattr("qrs_sim.linalg._pure_reduced", faulty(target, member))
+                        monkeypatch.setattr("qrs_sim.reference._pure_reduced", faulty(target, member))
+                        got = checked(lambda: _candidate_kets(systems, reference, candidates))
+                        assert isinstance(got, tuple) and fault in got[1].lower(), (name, target, member)
+                        assert got == checked(lambda: candidate_kets_by_system(systems, reference, candidates))
+
     def test_one_reduced_state_pass_per_dimension(self, monkeypatch):
         calls = []
 
