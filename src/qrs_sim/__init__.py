@@ -34,6 +34,7 @@ from .reference import (
     ReferenceSystem,
     internal_state_candidates,
     joint_distribution,
+    joint_distributions,
     joint_probability,
     sample_assignment,
     state_of,

@@ -329,7 +329,7 @@ def _run_intro(spec: ScenarioSpec) -> RunReport:
     final = unitary.apply(start)
     reference = ReferenceSystem(final, isolated=True)
 
-    dist = bell.pointer_joint(final, ("M",))
+    dist = bell.pointer_tables(final, ("M",))[0]
     marginal = dist.probabilities
     xi = bell.spin_eigenstates(spec.theta1, "P")
     born = np.array([abs(state.overlap(spin)) ** 2 for state in xi])
@@ -369,7 +369,7 @@ def _run_bell(spec: ScenarioSpec) -> RunReport:
     final = bell.evolve_experiment(config)
     entangled = bell.correlation_entangled(config)
     factorized = bell.correlation_factorized(config)
-    direct = bell.pointer_joint(final, (bell.M1, bell.M2))
+    direct = bell.pointer_tables(final, (bell.M1, bell.M2))[0]
     marginal1 = bell.device_marginal(final, 1)
     marginal2 = bell.device_marginal(final, 2)
 
@@ -397,9 +397,10 @@ def _run_bell(spec: ScenarioSpec) -> RunReport:
 def _run_ancilla(spec: ScenarioSpec) -> RunReport:
     config = spec.config
     state = bell.ancilla_experiment(config)
-    n4 = bell.pointer_joint(state, (bell.A1, bell.A2, bell.M1, bell.M2))
+    # one pass for both tables validates M1 and M2 once
+    n4, direct = bell.pointer_tables(state, (bell.A1, bell.A2, bell.M1, bell.M2), (bell.M1, bell.M2))
     intuitive = bell.intuitive_joint(config)
-    collapsed = bell.pointer_joint(state, (bell.M1, bell.M2)).probabilities
+    collapsed = direct.probabilities
     factorized = bell.correlation_factorized(config)
     entangled = bell.correlation_entangled(config)
 

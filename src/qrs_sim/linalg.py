@@ -180,6 +180,10 @@ class StateVector:
             _check(ok, NotNormalized, lambda i: f"cannot normalize: largest magnitude {float(scale[i])!r}")
             amps = amps / scale[..., None]
             amps = amps / np.sqrt(np.einsum("...i,...i->...", amps.conj(), amps).real)[..., None]
+        self._own(space, amps)
+
+    def _own(self, space: SpaceRegistry, amps: np.ndarray) -> "StateVector":
+        """Check and keep ``amps``, a fresh C-order complex array, uncopied."""
         flat = amps.view(float)  # real and imaginary parts side by side; no conjugate copy
         # einsum overflows to inf without a warning, and inf fails the check
         squared = np.einsum("...i,...i->...", flat, flat)
@@ -189,6 +193,7 @@ class StateVector:
         self.space = space
         self.amplitudes = amps
         self.batch = len(amps) if amps.ndim == 2 else None
+        return self
 
     def norm(self) -> float | np.ndarray:
         """Euclidean norm; one per member for a batch."""
@@ -251,8 +256,10 @@ class Operator:
         tensor = state.amplitudes.reshape(-1, *space.dims).transpose(perm)
         with np.errstate(over="ignore", invalid="ignore"):  # StateVector refuses what is not finite
             moved = self.matrix @ tensor.reshape(len(tensor), self.space.dim, -1)
-        out = moved.reshape(-1, *tensor.shape[1:]).transpose(np.argsort(perm)).reshape(-1, space.dim)
-        return StateVector(space, out if self.batch or state.batch else out[0])
+        # the transpose back is the one copy of the result, and the state owns it
+        out = moved.reshape(-1, *tensor.shape[1:]).transpose(np.argsort(perm))
+        shape = (-1, space.dim) if self.batch or state.batch else (space.dim,)
+        return StateVector.__new__(StateVector)._own(space, out.reshape(shape))
 
     def __repr__(self) -> str:
         return f"Operator({self.space!r})"
@@ -328,14 +335,17 @@ def tensor_product(first: StateVector, second: StateVector, *rest: StateVector) 
     order; the norm is the product of the input norms.
     """
     _single("tensor_product", first, second, *rest)
-    out = first
+    entries, amps = first.space.entries, first.amplitudes
     for factor in (second, *rest):
-        shared = set(out.space.labels) & set(factor.space.labels)
+        shared = {label for label, _ in entries} & set(factor.space.labels)
         if shared:
             raise LabelCollision(f"labels {sorted(shared)} appear on both sides of the product")
-        space = SpaceRegistry(out.space.entries + factor.space.entries)
-        out = StateVector(space, np.multiply.outer(out.amplitudes, factor.amplitudes).reshape(-1))
-    return out
+        entries = entries + factor.space.entries
+        if amps.size * factor.space.dim > MAX_TOTAL_DIM:
+            SpaceRegistry(entries)  # raises, naming the total at this factor
+        amps = np.multiply.outer(amps, factor.amplitudes)
+    # one registry and one norm check for the product; each factor met its own
+    return StateVector.__new__(StateVector)._own(SpaceRegistry(entries), amps.reshape(-1))
 
 
 def partial_trace(rho: DensityOperator | StateVector, keep) -> DensityOperator:

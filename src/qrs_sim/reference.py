@@ -227,9 +227,9 @@ def _candidate_kets(
     candidates = _listed(candidates, "candidates")
     if len(candidates) != len(systems):
         raise ValueError("candidates must align one list per system")
-    out = []
+    space, out = reference.space, []
     for system, states in zip(systems, candidates):
-        sub = reference.space.restrict(system)
+        entries = tuple(space.entries[space.axis(label)] for label in system)
         name = "+".join(system)
         states = _listed(states, f"candidates for {name}")
         if not states:
@@ -237,8 +237,8 @@ def _candidate_kets(
         for k, phi in enumerate(states):
             if not isinstance(phi, StateVector):
                 raise ValueError(f"candidate {k} for {name} must be a StateVector, got {phi!r}")
-            if phi.space != sub or phi.batch is not None:
-                raise ValueError(f"candidate {k} for {name} is on {phi.space!r}, expected one state on {sub!r}")
+            if phi.space.entries != entries or phi.batch is not None:
+                raise ValueError(f"candidate {k} for {name} is on {phi.space!r}, expected one state on {space.restrict(system)!r}")
         out.append(np.array([phi.amplitudes for phi in states]).T)
     _check_supplied(systems, reference.state, out)
     return out
@@ -324,24 +324,38 @@ def joint_distribution(systems, reference: ReferenceSystem, *, candidates=None) 
     """Full probability table over all candidate index tuples of the given
     pairwise-disjoint subsystems, ``(B, n_1, ..., n_k)`` for a batched
     reference state.  Sums to 1 within 1e-10."""
+    return joint_distributions([systems], reference, candidates=candidates)[0]
+
+
+def joint_distributions(tables, reference: ReferenceSystem, *, candidates=None) -> list[JointDistribution]:
+    """The ``joint_distribution`` of each list of subsystems in ``tables``
+    on one reference state.  Disjointness is a rule per table; the distinct
+    systems, in order of first appearance, take one list of ``candidates``
+    each, built or validated once for all the tables."""
     if not reference.isolated:
         raise NotIsolated("joint probabilities are defined only for isolated reference systems")
-    systems = _normalized_systems(systems, reference)
-    if not systems:
-        raise ValueError("at least one subsystem is required")
-    _check_disjoint(systems)
-    kets = _candidate_kets(systems, reference, candidates)
-    # amplitude tensor as (B, D_1, ..., D_k, R), B = 1 for a single state:
-    # system axes first, each system's labels flattened in registry order
-    tensor = _grouped(reference.state, [label for system in systems for label in system])
-    tensor = tensor.reshape(len(tensor), *(len(columns) for columns in kets), -1)
-    # contracting axis 1 with each system's bras in turn leaves
-    # (B, R, n_1, ..., n_k)
-    for columns in kets:
-        tensor = np.tensordot(tensor, columns.conj(), axes=(1, 0))
-    table = np.clip(np.sum(np.abs(tensor) ** 2, axis=1), 0.0, 1.0)
-    axes = tuple((system, n) for system, n in zip(systems, table.shape[1:]))
-    return JointDistribution(axes=axes, probabilities=table if reference.state.batch else table[0])
+    tables = [_normalized_systems(systems, reference) for systems in _listed(tables, "tables")]
+    for systems in tables:
+        if not systems:
+            raise ValueError("at least one subsystem is required")
+        _check_disjoint(systems)
+    distinct = list(dict.fromkeys(system for systems in tables for system in systems))
+    kets_of = dict(zip(distinct, _candidate_kets(distinct, reference, candidates)))
+    out = []
+    for systems in tables:
+        kets = [kets_of[system] for system in systems]
+        # amplitude tensor as (B, D_1, ..., D_k, R), B = 1 for a single state:
+        # system axes first, each system's labels flattened in registry order
+        tensor = _grouped(reference.state, [label for system in systems for label in system])
+        tensor = tensor.reshape(len(tensor), *(len(columns) for columns in kets), -1)
+        # contracting axis 1 with each system's bras in turn leaves
+        # (B, R, n_1, ..., n_k)
+        for columns in kets:
+            tensor = np.tensordot(tensor, columns.conj(), axes=(1, 0))
+        table = np.clip(np.sum(np.abs(tensor) ** 2, axis=1), 0.0, 1.0)
+        axes = tuple((system, n) for system, n in zip(systems, table.shape[1:]))
+        out.append(JointDistribution(axes=axes, probabilities=table if reference.state.batch else table[0]))
+    return out
 
 
 def sample_assignment(

@@ -3,11 +3,15 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -27,7 +31,8 @@ from qrs_sim.cli import (
     parse_config,
     run,
 )
-from qrs_sim.bell import ExperimentConfig
+from qrs_sim import linalg, reference
+from qrs_sim.bell import COEFF_MARGIN, COEFF_TOL, ExperimentConfig
 from qrs_sim.errors import ConfigError, NotNormalized
 
 import cli_corpus
@@ -271,6 +276,28 @@ class TestScenarios:
         run(build_spec({"scenario": scenario, "a": "0.6", "b": "0.8"}))
         assert batches.count(None) == 1
 
+    def test_one_validation_pass_per_ancilla_run(self, monkeypatch):
+        # the four-way and the device table come from one pass over the
+        # state, so M1 and M2 are validated once
+        passes = []
+        check = reference._check_supplied
+        monkeypatch.setattr(reference, "_check_supplied", lambda systems, *rest: passes.append(systems) or check(systems, *rest))
+        run(build_spec({"scenario": "bell-ancilla", "theta1": "0.3", "theta2": "-1.1"}))
+        assert passes == [[("A1",), ("A2",), ("M1",), ("M2",)]]
+
+    @pytest.mark.parametrize("scenario, builds", [("bell-ancilla", 3), ("chsh-scan", 2)])
+    def test_fixed_registries_are_built_once(self, scenario, builds, monkeypatch):
+        # once a first run has filled the builders' caches, a run builds
+        # only the registry of each tensor product and of evolve_experiment's
+        # reorder
+        spec = build_spec({"scenario": scenario, "a": "0.6", "b": "0.8"} | ({"grid": "0,3.1,25"} if scenario == "chsh-scan" else {}))
+        run(spec)
+        built = []
+        original = linalg.SpaceRegistry.__init__
+        monkeypatch.setattr(linalg.SpaceRegistry, "__init__", lambda self, entries: built.append(1) or original(self, entries))
+        run(spec)
+        assert len(built) == builds
+
     def test_sampling_smoke(self):
         spec = build_spec({"scenario": "bell", "samples": "20000", "seed": "3"})
         report = run(spec)
@@ -436,6 +463,96 @@ FLAG_FIELDS = st.fixed_dictionaries(
     {"scenario": FUZZ_VALUES["scenario"]},
     optional={key: value for key, value in FUZZ_VALUES.items() if key != "scenario"},
 )
+
+
+def quiet_main(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(argv)
+
+
+#: inputs whose |a|^2 + |b|^2 lies 1 ulp below 1 + 1e-12; without the
+#: rounding margin the first ended in a traceback and the second in exit 1
+#: with no failing residual
+EDGE_CASES = [
+    ("bell", "0.9898540398594534", "0.14208792972986695"),
+    ("bell-ancilla", "0.9155933978875106", "0.4021053714460958"),
+]
+
+
+@st.composite
+def edge_pairs(draw):
+    """(a, b) whose |a|^2 + |b|^2 sits within a few ulp of 1 +- 1e-12, or of
+    1 +- (1e-12 - COEFF_MARGIN), the edge the coefficient rule accepts."""
+    total = 1.0 + draw(st.sampled_from((-1.0, 1.0))) * draw(st.sampled_from((COEFF_TOL, COEFF_TOL - COEFF_MARGIN)))
+    split, phase, steps = draw(st.floats(0.05, 1.5)), draw(st.floats(-math.pi, math.pi)), draw(st.integers(-6, 6))
+    a, b = math.sqrt(total) * math.cos(split), math.sqrt(total) * math.sin(split)
+    re, im = a * math.cos(phase), a * math.sin(phase)
+    for _ in range(abs(steps)):
+        re = math.nextafter(re, math.copysign(math.inf, steps))
+    return complex(re, im), complex(b)
+
+
+class TestEdgeOfNorm:
+    @pytest.mark.parametrize("scenario, a, b", EDGE_CASES)
+    def test_pinned_cases_are_refused(self, scenario, a, b, capsys):
+        assert quiet_main(["run", "--scenario", scenario, "--a", a, "--b", b]) == 2
+        assert capsys.readouterr().err == (
+            f"error: |a|^2 + |b|^2 = 1.0000000000009999 must be 1 within 1e-12 less a rounding margin of {COEFF_MARGIN:.3g}\n"
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(pair=edge_pairs())
+    @example(pair=(complex(0.7648421872847838), complex(0.6442176872379399)))
+    @example(pair=(complex(0.7648421872841931), complex(0.6442176872374421)))
+    def test_every_scenario_exits_cleanly(self, pair):
+        # a pair the coefficient rule accepts passes every later rule, in
+        # every scenario; one it refuses stops at configuration
+        a, b = pair
+        try:
+            ExperimentConfig(a=a, b=b)
+            expected = 0
+        except NotNormalized:
+            expected = 2
+        for scenario in SCENARIOS:
+            argv = ["run", f"--scenario={scenario}", f"--a={a.real!r},{a.imag!r}", f"--b={b.real!r},{b.imag!r}"]
+            with contextlib.redirect_stderr(io.StringIO()):
+                assert quiet_main(argv) == expected, (scenario, a, b)
+
+
+#: (run, warm-up run, traced heap budget in bytes): the README's memory
+#: budgets of the two input caps, each the peak measured before this test
+#: existed (13.03 MB and 16.02 MB, numpy 2.4) rounded up to 0.1 MB
+CAP_BUDGETS = [
+    (["--scenario=chsh-scan", "--grid=0,3.14,1000"], ["--scenario=chsh-scan", "--grid=0,3.14,2"], 13.1e6),
+    (["--scenario=bell-ancilla", "--samples=1000000"], ["--scenario=bell-ancilla", "--samples=10"], 16.1e6),
+]
+
+
+@pytest.mark.parametrize("flags, warm_up, budget", CAP_BUDGETS, ids=["grid", "samples"])
+def test_cap_stays_within_its_memory_budget(flags, warm_up, budget):
+    assert quiet_main(["run", *warm_up]) == 0
+    tracemalloc.start()
+    try:
+        assert quiet_main(["run", *flags]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget
+
+
+def test_import_fills_no_cache():
+    # every cached builder fills on first use, so importing the package,
+    # as a benchmark's setup does, builds nothing
+    code = (
+        "import json, sys, qrs_sim, qrs_sim.cli\n"
+        "print(json.dumps({f'{name}.{key}': value.cache_info().currsize for name, module in sorted(sys.modules.items())"
+        " if name.split('.')[0] == 'qrs_sim' for key, value in vars(module).items() if hasattr(value, 'cache_info')}))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    caches = json.loads(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout)
+    assert {"qrs_sim.bell._space", "qrs_sim.bell.pointer_ready_state", "qrs_sim.cli._build_parser"} <= caches.keys()
+    assert caches == dict.fromkeys(caches, 0)
 
 
 class TestFuzz:

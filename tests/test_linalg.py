@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,8 +20,10 @@ from qrs_sim import (
     ancilla_experiment,
     basis_state,
     eig_hermitian,
+    evolve_experiment,
     internal_state_candidates,
     joint_distribution,
+    measurement_unitary,
     partial_trace,
     state_of,
     tensor_product,
@@ -248,6 +252,23 @@ class TestTensorProduct:
         a2 = random_state(SpaceRegistry([("A", 2)]), rng)
         with pytest.raises(LabelCollision):
             tensor_product(a, a2)
+
+    def test_cap_refusal_names_the_total_at_the_factor(self):
+        # 64 x 128 already breaks the cap, before the third factor doubles it
+        factors = [basis_state(SpaceRegistry([(label, dim)]), 0) for label, dim in (("A", 64), ("B", 128), ("C", 2))]
+        with pytest.raises(ValueError, match="^total dimension 8192 exceeds the dense-storage cap 4096$"):
+            tensor_product(*factors)
+
+    def test_one_registry_and_one_norm_check_per_call(self, rng, monkeypatch):
+        factors = [random_state(SpaceRegistry([(label, 2)]), rng) for label in "ABCD"]
+        built = []
+        original = SpaceRegistry.__init__
+        monkeypatch.setattr(SpaceRegistry, "__init__", lambda self, entries: built.append(1) or original(self, entries))
+        joint = tensor_product(*factors)
+        assert len(built) == 1 and joint.space.labels == tuple("ABCD")
+        assert not joint.amplitudes.flags.writeable
+        expected = np.kron(np.kron(np.kron(*(f.amplitudes for f in factors[:2])), factors[2].amplitudes), factors[3].amplitudes)
+        assert np.array_equal(joint.amplitudes, expected)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -577,6 +598,26 @@ class TestOperatorApply:
         op = Operator(SpaceRegistry([("A", 3)]), np.eye(3))
         with pytest.raises(ValueError):
             op.apply(random_state(SpaceRegistry([("A", 2), ("B", 2)]), rng))
+
+    @pytest.mark.parametrize("side", [1, 2])
+    def test_result_is_copied_once(self, side):
+        # 100 unitaries on one side of the experiment space: the matmul
+        # result, plus, when the operator's axes must move back, its one
+        # transposed copy, which the state keeps
+        config = ExperimentConfig(theta1=tuple(np.linspace(-3, 3, 100)), theta2=tuple(np.linspace(3, -3, 100)))
+        particle, pointer = ("P1", "M1") if side == 1 else ("P2", "M2")
+        op = measurement_unitary(config.theta(side), particle, pointer)
+        state = evolve_experiment(ExperimentConfig())
+        op.apply(state)
+        tracemalloc.start()
+        try:
+            moved = op.apply(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        copies = 1 if side == 1 else 2
+        assert peak < (copies + 0.25) * moved.amplitudes.nbytes
+        assert not moved.amplitudes.flags.writeable and moved.amplitudes.flags.c_contiguous
 
     def test_non_unitary_rejected(self, rng):
         # the last two overflow or meet NaN; refused without a RuntimeWarning

@@ -36,6 +36,7 @@ PUBLIC = (
     "internal_state_candidates",
     "intuitive_joint",
     "joint_distribution",
+    "joint_distributions",
     "joint_probability",
     "measurement_unitary",
     "pair_distribution",

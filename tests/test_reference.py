@@ -16,6 +16,7 @@ from qrs_sim import (
     basis_state,
     internal_state_candidates,
     joint_distribution,
+    joint_distributions,
     joint_probability,
     sample_assignment,
     state_of,
@@ -32,6 +33,7 @@ from qrs_sim.bell import (
     pointer_ready_state,
     pointer_space,
 )
+from qrs_sim import reference as reference_module
 from qrs_sim.linalg import Operator, _pure_reduced
 from qrs_sim.reference import _candidate_kets, _normalized_systems
 
@@ -655,3 +657,87 @@ class TestSuppliedCandidates:
             joint_distribution([5], ref)
         with pytest.raises(UnknownLabel, match=r"label \['P1'\] not in space"):
             joint_distribution([[["P1"]]], ref)
+
+
+def table_bits(dist):
+    return dist.axes, dist.probabilities.shape, dist.probabilities.tobytes()
+
+
+def several_table_cases():
+    """``(name, tables, reference, candidates)``: tables on one state whose
+    systems recur across tables; ``candidates`` align with the distinct
+    systems in order of first appearance, or are None for spectral ones."""
+    angles = ((0.4, 1.3), (-2.1, 0.7), (2.9, -1.2))
+    evolved = [evolve_experiment(ExperimentConfig(a=0.6, b=0.8j, theta1=t1, theta2=t2)) for t1, t2 in angles]
+    ancilla = ReferenceSystem(ancilla_experiment(ExperimentConfig(a=0.6, b=0.8j, theta1=0.9, theta2=-2.3)), isolated=True)
+    pointers = [[("A1",), ("A2",), ("M1",), ("M2",)], [("M1",), ("M2",)]]
+    rng = np.random.default_rng(11)
+    space = SpaceRegistry([("A", 2), ("B", 3), ("C", 2), ("D", 2)])
+    generic = ReferenceSystem(StateVector(space, rng.normal(size=24) + 1j * rng.normal(size=24), normalize=True), isolated=True)
+    return [
+        ("ancilla pointers, single", pointers, ancilla, [pointer_outcome_states(label) for label in ("A1", "A2", "M1", "M2")]),
+        ("pointers, batch", [[("M1",), ("M2",)], [("M2",)], [("M1",)]], stacked(evolved),
+         [pointer_outcome_states("M1"), pointer_outcome_states("M2")]),
+        ("spectral, joint system and its parts", [[("A", "B"), ("C",)], [("B",), ("A",)], [("D",)]], generic, None),
+    ]
+
+
+class TestSeveralTables:
+    """``joint_distributions``: one validation of the distinct systems,
+    then each table contracted as a call of its own would."""
+
+    @pytest.mark.parametrize("case", several_table_cases(), ids=lambda case: case[0])
+    def test_bytes_match_separate_calls(self, case):
+        _, tables, reference, candidates = case
+        distinct = list(dict.fromkeys(system for systems in tables for system in systems))
+        got = joint_distributions(tables, reference, candidates=candidates)
+        assert len(got) == len(tables)
+        for systems, dist in zip(tables, got):
+            own = None if candidates is None else [candidates[distinct.index(system)] for system in systems]
+            assert table_bits(dist) == table_bits(joint_distribution(systems, reference, candidates=own))
+
+    def test_one_validation_pass(self, monkeypatch):
+        calls, reduced = [], []
+        check, kernel = reference_module._check_supplied, reference_module._pure_reduced
+        monkeypatch.setattr(reference_module, "_check_supplied", lambda *args: calls.append(args[0]) or check(*args))
+        monkeypatch.setattr(reference_module, "_pure_reduced", lambda state, systems, dim: reduced.append(len(systems)) or kernel(state, systems, dim))
+        _, tables, reference, candidates = several_table_cases()[0]
+        joint_distributions(tables, reference, candidates=candidates)
+        assert calls == [[("A1",), ("A2",), ("M1",), ("M2",)]] and sum(reduced) == 4
+
+    def test_overlap_is_a_rule_per_table(self):
+        ref = _generic_evolved_system()
+        joint, parts = joint_distributions([[("M1", "M2")], [("M1",), ("M2",)]], ref)
+        assert joint.axes[0][0] == ("M1", "M2") and len(parts.axes) == 2
+        within = [("M1", "P2"), ("P2",)]
+        with pytest.raises(NonDisjointSystems) as alone:
+            joint_distribution(within, ref)
+        with pytest.raises(NonDisjointSystems) as among:
+            joint_distributions([[("M1",)], within], ref)
+        assert str(among.value) == str(alone.value) and among.value.overlap == ("P2",)
+
+    @pytest.mark.parametrize(
+        "case", [case for case in supplied_candidate_cases() if case[4]], ids=lambda case: case[0]
+    )
+    def test_refusals_match_the_single_table_call(self, case):
+        _, systems, reference, candidates, refusal = case
+
+        def refused(call):
+            with pytest.raises(ValueError) as error:
+                call()
+            return type(error.value), str(error.value)
+
+        alone = refused(lambda: joint_distribution(systems, reference, candidates=candidates))
+        again = refused(lambda: joint_distributions([systems, systems[::-1], systems[:1]], reference, candidates=candidates))
+        assert alone == again == (ValueError, refusal)
+
+    def test_argument_checks(self):
+        ref = pair_system()
+        with pytest.raises(ValueError, match="tables must be an iterable, got None"):
+            joint_distributions(None, ref)
+        with pytest.raises(ValueError, match="at least one subsystem is required"):
+            joint_distributions([[("P1",)], []], ref)
+        with pytest.raises(ValueError, match="candidates must align one list per system"):
+            joint_distributions([[("P1",)], [("P2",)]], ref, candidates=[particle_candidate_states(1)])
+        with pytest.raises(NotIsolated):
+            joint_distributions([[("P1",)]], ReferenceSystem(ref.state))
