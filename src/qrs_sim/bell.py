@@ -36,7 +36,6 @@ from .linalg import (
     _single,
     basis_state,
     partial_trace,
-    tensor_product,
 )
 from .reference import JointDistribution, ReferenceSystem, joint_distribution, joint_distributions
 
@@ -182,14 +181,16 @@ def _controlled_swap(amps: np.ndarray, complete: bool = False) -> np.ndarray:
     ``swap_l`` exchanges the ready and ``l``-th slots of a pointer appended
     after the controls' factors; ``complete`` adds the identity
     ``(I - sum_l |s_l><s_l|) (x) I`` on the complement."""
-    dim = amps.shape[-1]
-    blocks = amps[..., :, None] * amps.conj()[..., None, :]
+    lead, dim, rows = amps.shape[:-2], amps.shape[-1], amps.swapaxes(-1, -2)
+    # blocks (..., a, b, l): one 2-D product with the shared swap stack sums over l
+    blocks = rows[..., :, None, :] * rows.conj()[..., None, :, :]
     slots = list(range(1, amps.shape[-2] + 1))
     if complete:
-        blocks = np.concatenate([blocks, np.eye(dim) - blocks.sum(axis=-3, keepdims=True)], axis=-3)
+        blocks = np.concatenate([blocks, (np.eye(dim) - blocks.sum(axis=-1))[..., None]], axis=-1)
         slots.append(READY)
-    total = np.einsum("...lab,lcd->...acbd", blocks, _SLOT_SWAPS[slots])
-    return total.reshape(*amps.shape[:-2], dim * POINTER_DIM, dim * POINTER_DIM)
+    total = blocks.reshape(-1, len(slots)) @ _SLOT_SWAPS[slots].reshape(len(slots), -1)
+    total = total.reshape(*lead, dim, dim, POINTER_DIM, POINTER_DIM).swapaxes(-3, -2)
+    return total.reshape(*lead, dim * POINTER_DIM, dim * POINTER_DIM)
 
 
 def measurement_unitary(theta, particle: str, pointer: str) -> Operator:
@@ -211,13 +212,12 @@ def pointer_ready_state(label: str) -> StateVector:
 
 
 def evolve_experiment(config: ExperimentConfig) -> StateVector:
-    """Final state on (P1, M1, P2, M2): both local measurement unitaries
-    applied to the pair state with both pointers ready, each contracted
-    with its own particle and pointer axes (a batch for a batched config)."""
-    start = tensor_product(
-        entangled_pair_state(config), pointer_ready_state(M1), pointer_ready_state(M2)
-    ).reorder(experiment_space().labels)
-    moved = measurement_unitary(config.theta1, P1, M1).apply(start)
+    """Final state on (P1, M1, P2, M2): the pair coefficients placed at both
+    ready slots, then both local measurement unitaries, each contracted with
+    its own particle and pointer axes (a batch for a batched config)."""
+    start = np.zeros(experiment_space().dims, dtype=complex)
+    start[PAIR_BASIS[1], READY, PAIR_BASIS[2], READY] = config.coefficients
+    moved = measurement_unitary(config.theta1, P1, M1).apply(StateVector(experiment_space(), start.reshape(-1)))
     return measurement_unitary(config.theta2, P2, M2).apply(moved)
 
 
@@ -233,7 +233,8 @@ def correlation_entangled(config: ExperimentConfig) -> JointDistribution:
     P(j, k) = |sum_l c_l <xi1_j|phi_{1,l}> <xi2_k|phi_{2,l}>|^2."""
     o1 = outcome_overlaps(config.theta1, 1)
     o2 = np.swapaxes(outcome_overlaps(config.theta2, 2), -1, -2)
-    amp = o1 @ np.diag(config.coefficients) @ o2
+    # one 2-D product with the shared diagonal; the second stays per member, as other forms change bits
+    amp = (o1.reshape(-1, 2) @ np.diag(config.coefficients)).reshape(o1.shape) @ o2
     return JointDistribution(DEVICE_AXES, np.abs(amp) ** 2)
 
 
@@ -243,7 +244,7 @@ def correlation_factorized(config: ExperimentConfig) -> JointDistribution:
     o1 = outcome_overlaps(config.theta1, 1) ** 2
     o2 = np.swapaxes(outcome_overlaps(config.theta2, 2), -1, -2) ** 2
     weights = np.abs(np.array(config.coefficients)) ** 2
-    return JointDistribution(DEVICE_AXES, o1 @ np.diag(weights) @ o2)
+    return JointDistribution(DEVICE_AXES, (o1.reshape(-1, 2) @ np.diag(weights)).reshape(o1.shape) @ o2)
 
 
 @lru_cache(maxsize=None)
@@ -332,7 +333,8 @@ def _ancilla_chi(config: ExperimentConfig, which: int) -> StateVector:
     _single("ancilla_candidate_states", config)
     side = _side(which)
     theta = config.theta(side)
-    chi = np.einsum("jl,js,jm->lsm", outcome_overlaps(theta, side), _spin_rows(theta), np.eye(POINTER_DIM)[1:])
+    chi = np.zeros((2, SPIN_DIM, POINTER_DIM))
+    chi[..., 1:] = np.einsum("jl,js->lsj", outcome_overlaps(theta, side), _spin_rows(theta))
     return StateVector(_space(*zip(_SIDE_LABELS[side][:2], (SPIN_DIM, POINTER_DIM))), chi.reshape(2, -1))
 
 
@@ -350,9 +352,12 @@ def ancilla_recording_unitary(config: ExperimentConfig, which: int) -> Operator:
 def ancilla_experiment(config: ExperimentConfig) -> StateVector:
     """Final state on (P1, M1, P2, M2, A1, A2) after both measurements and
     both ancilla recordings, each recording unitary contracted with its own
-    particle, device and ancilla axes.  One setting only."""
+    particle, device and ancilla axes, from the evolved amplitudes placed at
+    both ancillas' ready slots.  One setting only."""
     _single("ancilla_experiment", config)
-    start = tensor_product(evolve_experiment(config), pointer_ready_state(A1), pointer_ready_state(A2))
+    start = np.zeros((experiment_space().dim, POINTER_DIM, POINTER_DIM), dtype=complex)
+    start[:, READY, READY] = evolve_experiment(config).amplitudes
+    start = StateVector(_space(*experiment_space().entries, (A1, POINTER_DIM), (A2, POINTER_DIM)), start.reshape(-1))
     w1 = ancilla_recording_unitary(config, 1)
     w2 = ancilla_recording_unitary(config, 2)
     return w2.apply(w1.apply(start))

@@ -243,10 +243,11 @@ class Operator:
         in any placement and order, acting as the identity on every other
         factor, a batch meeting a single state or an equal batch.  The
         operator's axes of the amplitude tensor are moved to the front, hit
-        with one broadcasting matmul and moved back.  The result must again
-        be normalized (the package only ever applies norm-preserving maps to
-        states); a non-unitary application raises NotNormalized."""
-        space = state.space
+        with one matmul (2-D against a single state, stacked against a
+        batch) and moved back.  The result must again be normalized (the
+        package only ever applies norm-preserving maps to states); a
+        non-unitary application raises NotNormalized."""
+        space, d = state.space, self.space.dim
         for label, dim in self.space.entries:
             if space.dims[space.axis(label)] != dim:
                 raise ValueError(f"dimension mismatch for label {label!r}")
@@ -255,7 +256,10 @@ class Operator:
         perm = _front(space, self.space.labels)
         tensor = state.amplitudes.reshape(-1, *space.dims).transpose(perm)
         with np.errstate(over="ignore", invalid="ignore"):  # StateVector refuses what is not finite
-            moved = self.matrix @ tensor.reshape(len(tensor), self.space.dim, -1)
+            if state.batch is None:
+                moved = self.matrix.reshape(-1, d) @ tensor[0].reshape(d, -1)
+            else:
+                moved = self.matrix @ tensor.reshape(len(tensor), d, -1)
         # the transpose back is the one copy of the result, and the state owns it
         out = moved.reshape(-1, *tensor.shape[1:]).transpose(np.argsort(perm))
         shape = (-1, space.dim) if self.batch or state.batch else (space.dim,)

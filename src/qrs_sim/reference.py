@@ -340,18 +340,19 @@ def joint_distributions(tables, reference: ReferenceSystem, *, candidates=None) 
             raise ValueError("at least one subsystem is required")
         _check_disjoint(systems)
     distinct = list(dict.fromkeys(system for systems in tables for system in systems))
-    kets_of = dict(zip(distinct, _candidate_kets(distinct, reference, candidates)))
+    bras_of = {system: kets.conj() for system, kets in zip(distinct, _candidate_kets(distinct, reference, candidates))}
     out = []
     for systems in tables:
-        kets = [kets_of[system] for system in systems]
+        bras = [bras_of[system] for system in systems]
         # amplitude tensor as (B, D_1, ..., D_k, R), B = 1 for a single state:
         # system axes first, each system's labels flattened in registry order
         tensor = _grouped(reference.state, [label for system in systems for label in system])
-        tensor = tensor.reshape(len(tensor), *(len(columns) for columns in kets), -1)
-        # contracting axis 1 with each system's bras in turn leaves
-        # (B, R, n_1, ..., n_k)
-        for columns in kets:
-            tensor = np.tensordot(tensor, columns.conj(), axes=(1, 0))
+        tensor = tensor.reshape(len(tensor), *(len(columns) for columns in bras), -1)
+        # axis 1 moved last meets each system's bras in one 2-D product,
+        # which leaves (B, R, n_1, ..., n_k)
+        for columns in bras:
+            moved = tensor.transpose(0, *range(2, tensor.ndim), 1)
+            tensor = (moved.reshape(-1, len(columns)) @ columns).reshape(*moved.shape[:-1], -1)
         table = np.clip(np.sum(np.abs(tensor) ** 2, axis=1), 0.0, 1.0)
         axes = tuple((system, n) for system, n in zip(systems, table.shape[1:]))
         out.append(JointDistribution(axes=axes, probabilities=table if reference.state.batch else table[0]))

@@ -12,10 +12,18 @@ The cut of a spectrum to internal-state candidates is checked against
 listing the kept and dropped eigenvalues and their gaps, and the stacked
 check of supplied candidates against checking one system at a time on its
 own reduced density operator.
+
+The last group keeps the routes that one 2-D product per shared operand and
+placed start states replaced, as they were: the stacked apply, the
+``tensordot`` contraction, the ``einsum`` controlled swap, the stacked
+closed forms and the start states multiplied out by ``tensor_product`` and
+``reorder``.  The package must match them byte for byte; a placed start
+matches by value only, since the products sign some zeros differently.
 """
 
 import numpy as np
 
+from qrs_sim import bell
 from qrs_sim.errors import NotHermitian, NotIsolated, UnknownLabel
 from qrs_sim.linalg import (
     DEGENERACY_GAP,
@@ -26,14 +34,18 @@ from qrs_sim.linalg import (
     Spectrum,
     StateVector,
     _check,
+    _front,
+    _grouped,
     _single,
     partial_trace,
+    tensor_product,
 )
 from qrs_sim.reference import (
     CANDIDATE_CUTOFF,
     EIGENSTATE_TOL,
     JointDistribution,
     ReferenceSystem,
+    _candidate_kets,
     _check_disjoint,
     _normalized_systems,
     internal_state_candidates,
@@ -214,3 +226,89 @@ def candidate_kets_by_system(systems, reference: ReferenceSystem, candidates) ->
         _check(ok.all(axis=-1), ValueError, lambda i: f"candidate {np.argmin(ok[i])} for {name} is not an eigenstate")
         out.append(kets)
     return out
+
+
+def apply_stacked(op: Operator, state: StateVector) -> StateVector:
+    """``Operator.apply`` with one stacked product per member, also for a
+    batch of operators meeting a single state."""
+    space = state.space
+    perm = _front(space, op.space.labels)
+    tensor = state.amplitudes.reshape(-1, *space.dims).transpose(perm)
+    moved = op.matrix @ tensor.reshape(len(tensor), op.space.dim, -1)
+    out = moved.reshape(-1, *tensor.shape[1:]).transpose(np.argsort(perm))
+    return StateVector(space, out.reshape((-1, space.dim) if op.batch or state.batch else (space.dim,)))
+
+
+def joint_table_by_tensordot(systems, reference: ReferenceSystem, *, candidates=None) -> np.ndarray:
+    """The ``joint_distribution`` table, each system contracted by
+    ``np.tensordot`` with its conjugated kets."""
+    systems = _normalized_systems(systems, reference)
+    kets = _candidate_kets(systems, reference, candidates)
+    tensor = _grouped(reference.state, [label for system in systems for label in system])
+    tensor = tensor.reshape(len(tensor), *(len(columns) for columns in kets), -1)
+    for columns in kets:
+        tensor = np.tensordot(tensor, columns.conj(), axes=(1, 0))
+    table = np.clip(np.sum(np.abs(tensor) ** 2, axis=1), 0.0, 1.0)
+    return table if reference.state.batch else table[0]
+
+
+def controlled_swap_by_einsum(amps: np.ndarray, complete: bool = False) -> np.ndarray:
+    """``bell._controlled_swap`` with the blocks as ``(..., l, a, b)`` and
+    one ``einsum`` over the slots."""
+    dim = amps.shape[-1]
+    blocks = amps[..., :, None] * amps.conj()[..., None, :]
+    slots = list(range(1, amps.shape[-2] + 1))
+    if complete:
+        blocks = np.concatenate([blocks, np.eye(dim) - blocks.sum(axis=-3, keepdims=True)], axis=-3)
+        slots.append(bell.READY)
+    total = np.einsum("...lab,lcd->...acbd", blocks, bell._SLOT_SWAPS[slots])
+    return total.reshape(*amps.shape[:-2], dim * bell.POINTER_DIM, dim * bell.POINTER_DIM)
+
+
+def ancilla_chi_by_einsum(config: bell.ExperimentConfig, which: int) -> np.ndarray:
+    """The ``(2, 6)`` complex chi amplitudes of one side from one three-operand ``einsum``."""
+    theta = config.theta(which)
+    chi = np.einsum("jl,js,jm->lsm", bell.outcome_overlaps(theta, which), bell._spin_rows(theta), np.eye(bell.POINTER_DIM)[1:])
+    return chi.reshape(2, -1).astype(complex)
+
+
+def closed_tables_stacked(config: bell.ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The interference and product tables with both 2x2 products stacked
+    per member."""
+    o1, o2 = bell.outcome_overlaps(config.theta1, 1), np.swapaxes(bell.outcome_overlaps(config.theta2, 2), -1, -2)
+    weights = np.abs(np.array(config.coefficients)) ** 2
+    return np.abs(o1 @ np.diag(config.coefficients) @ o2) ** 2, o1**2 @ np.diag(weights) @ o2**2
+
+
+def experiment_start_by_products(config: bell.ExperimentConfig) -> StateVector:
+    """The pair state times both ready pointers, reordered to the experiment space."""
+    pair = bell.entangled_pair_state(config)
+    start = tensor_product(pair, bell.pointer_ready_state(bell.M1), bell.pointer_ready_state(bell.M2))
+    return start.reorder(bell.experiment_space().labels)
+
+
+def ancilla_start_by_products(evolved: StateVector) -> StateVector:
+    """The evolved state times both ready ancillas."""
+    return tensor_product(evolved, bell.pointer_ready_state(bell.A1), bell.pointer_ready_state(bell.A2))
+
+
+def evolve_by_products(config: bell.ExperimentConfig) -> StateVector:
+    """``bell.evolve_experiment`` from the product start, with the ``einsum``
+    swaps and the stacked apply."""
+    state = experiment_start_by_products(config)
+    for side in (1, 2):
+        particle, pointer, _ = bell._SIDE_LABELS[side]
+        space = SpaceRegistry([(particle, bell.SPIN_DIM), (pointer, bell.POINTER_DIM)])
+        state = apply_stacked(Operator(space, controlled_swap_by_einsum(bell._spin_rows(config.theta(side)))), state)
+    return state
+
+
+def ancilla_experiment_by_products(config: bell.ExperimentConfig) -> StateVector:
+    """``bell.ancilla_experiment`` from the product start, with the
+    three-operand chi, the ``einsum`` swaps and the stacked apply."""
+    state = ancilla_start_by_products(evolve_by_products(config))
+    for side in (1, 2):
+        space = SpaceRegistry(zip(bell._SIDE_LABELS[side], (bell.SPIN_DIM, bell.POINTER_DIM, bell.POINTER_DIM)))
+        unitary = controlled_swap_by_einsum(ancilla_chi_by_einsum(config, side), complete=True)
+        state = apply_stacked(Operator(space, unitary), state)
+    return state

@@ -285,11 +285,10 @@ class TestScenarios:
         run(build_spec({"scenario": "bell-ancilla", "theta1": "0.3", "theta2": "-1.1"}))
         assert passes == [[("A1",), ("A2",), ("M1",), ("M2",)]]
 
-    @pytest.mark.parametrize("scenario, builds", [("bell-ancilla", 3), ("chsh-scan", 2)])
+    @pytest.mark.parametrize("scenario, builds", [("bell-ancilla", 0), ("chsh-scan", 0)])
     def test_fixed_registries_are_built_once(self, scenario, builds, monkeypatch):
-        # once a first run has filled the builders' caches, a run builds
-        # only the registry of each tensor product and of evolve_experiment's
-        # reorder
+        # once a first run has filled the builders' caches, a run builds no
+        # registry: the start states are placed on cached registries
         spec = build_spec({"scenario": scenario, "a": "0.6", "b": "0.8"} | ({"grid": "0,3.1,25"} if scenario == "chsh-scan" else {}))
         run(spec)
         built = []
@@ -297,6 +296,24 @@ class TestScenarios:
         monkeypatch.setattr(linalg.SpaceRegistry, "__init__", lambda self, entries: built.append(1) or original(self, entries))
         run(spec)
         assert len(built) == builds
+
+    def test_ancilla_run_checks_eight_states(self, monkeypatch):
+        # a placed start per route, two applies per route and the two chi batches
+        spec = build_spec({"scenario": "bell-ancilla", "theta1": "0.3", "theta2": "-1.1"})
+        run(spec)
+        checked = []
+        own = linalg.StateVector._own
+        monkeypatch.setattr(linalg.StateVector, "_own", lambda self, *rest: checked.append(1) or own(self, *rest))
+        run(spec)
+        assert len(checked) == 8
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_no_scenario_calls_tensordot(self, scenario, monkeypatch):
+        calls = []
+        tensordot = np.tensordot
+        monkeypatch.setattr(np, "tensordot", lambda *args, **kwargs: calls.append(1) or tensordot(*args, **kwargs))
+        run(build_spec({"scenario": scenario}))
+        assert calls == []
 
     def test_sampling_smoke(self):
         spec = build_spec({"scenario": "bell", "samples": "20000", "seed": "3"})
