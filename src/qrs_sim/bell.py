@@ -11,9 +11,10 @@ joint-probability machinery on the evolved composite state -- plus the
 ancilla extension in which extra devices record which basis state each
 particle+device pair is in, and a CHSH evaluator.
 
-A config whose angles are tuples is a batch of settings: every route, and
-so ``chsh`` over a whole grid, evaluates all of them in one call through
-batched unitaries, states and tables.  The ancilla functions take one.
+A config whose angles are tuples is a batch of settings: every route, the
+ancilla extension too, and so ``chsh`` over a whole grid, evaluates all of
+them in one call; a leading array axis always means the settings, and a
+single setting is the same code without it.
 
 Outcome sign convention for correlators: outcome 1 maps to +1, outcome 2
 to -1.
@@ -33,7 +34,6 @@ from .linalg import (
     SpaceRegistry,
     StateVector,
     _check,
-    _single,
     basis_state,
     partial_trace,
 )
@@ -322,20 +322,21 @@ def ancilla_candidate_states(config: ExperimentConfig, which: int) -> tuple[Stat
 
     Orthonormal for any setting; constructed directly because the reduced
     state is degenerate whenever |c_1| = |c_2| and an eigendecomposition
-    could return any basis of the degenerate subspace.  One setting only.
+    could return any basis of the degenerate subspace.  Batched per setting.
     """
-    chi = _ancilla_chi(config, which)
-    return tuple(StateVector(chi.space, amps) for amps in chi.amplitudes)
+    space = _space(*zip(_SIDE_LABELS[_side(which)][:2], (SPIN_DIM, POINTER_DIM)))
+    return tuple(StateVector(space, amps) for amps in np.moveaxis(_ancilla_chi(config, which), -2, 0))
 
 
-def _ancilla_chi(config: ExperimentConfig, which: int) -> StateVector:
-    """chi_1, chi_2 of ``ancilla_candidate_states`` as one batch of two."""
-    _single("ancilla_candidate_states", config)
+def _ancilla_chi(config: ExperimentConfig, which: int) -> np.ndarray:
+    """chi_1, chi_2 of ``ancilla_candidate_states`` as ``(..., 2, 6)``
+    amplitudes over the config's settings, norm-checked as one batch."""
     side = _side(which)
-    theta = config.theta(side)
-    chi = np.zeros((2, SPIN_DIM, POINTER_DIM))
-    chi[..., 1:] = np.einsum("jl,js->lsj", outcome_overlaps(theta, side), _spin_rows(theta))
-    return StateVector(_space(*zip(_SIDE_LABELS[side][:2], (SPIN_DIM, POINTER_DIM))), chi.reshape(2, -1))
+    theta = np.broadcast_arrays(config.theta1, config.theta2)[side - 1]
+    chi = np.zeros((*theta.shape, 2, SPIN_DIM, POINTER_DIM))
+    chi[..., 1:] = np.einsum("...jl,...js->...lsj", outcome_overlaps(theta, side), _spin_rows(theta))
+    space = _space(*zip(_SIDE_LABELS[side][:2], (SPIN_DIM, POINTER_DIM)))
+    return StateVector(space, chi.reshape(-1, space.dim)).amplitudes.reshape(*theta.shape, 2, -1)
 
 
 def ancilla_recording_unitary(config: ExperimentConfig, which: int) -> Operator:
@@ -343,21 +344,21 @@ def ancilla_recording_unitary(config: ExperimentConfig, which: int) -> Operator:
     chi_l the particle+device pair is in: |chi_l>|ready> -> |chi_l>|slot_l>,
     completed by the controlled ready <-> slot_l pointer swap and the
     identity on the orthogonal complement of the chi states.  It leaves the
-    chi states themselves untouched."""
+    chi states themselves untouched; batched per setting."""
     side = _side(which)
     space = _space(*zip(_SIDE_LABELS[side], (SPIN_DIM, POINTER_DIM, POINTER_DIM)))
-    return Operator(space, _controlled_swap(_ancilla_chi(config, side).amplitudes, complete=True))
+    return Operator(space, _controlled_swap(_ancilla_chi(config, side), complete=True))
 
 
 def ancilla_experiment(config: ExperimentConfig) -> StateVector:
     """Final state on (P1, M1, P2, M2, A1, A2) after both measurements and
     both ancilla recordings, each recording unitary contracted with its own
     particle, device and ancilla axes, from the evolved amplitudes placed at
-    both ancillas' ready slots.  One setting only."""
-    _single("ancilla_experiment", config)
-    start = np.zeros((experiment_space().dim, POINTER_DIM, POINTER_DIM), dtype=complex)
-    start[:, READY, READY] = evolve_experiment(config).amplitudes
-    start = StateVector(_space(*experiment_space().entries, (A1, POINTER_DIM), (A2, POINTER_DIM)), start.reshape(-1))
+    both ancillas' ready slots (a batch for a batched config)."""
+    evolved = evolve_experiment(config).amplitudes
+    start = np.zeros((*evolved.shape, POINTER_DIM, POINTER_DIM), dtype=complex)
+    start[..., READY, READY] = evolved
+    start = StateVector(_space(*experiment_space().entries, (A1, POINTER_DIM), (A2, POINTER_DIM)), start.reshape(*evolved.shape[:-1], -1))
     w1 = ancilla_recording_unitary(config, 1)
     w2 = ancilla_recording_unitary(config, 2)
     return w2.apply(w1.apply(start))
@@ -378,7 +379,9 @@ def ancilla_device_table(config: ExperimentConfig) -> JointDistribution:
 
 def correlator(table: JointDistribution) -> float | np.ndarray:
     """E = sum_{jk} (-1)^{j+k} P(j, k) with outcomes valued +1, -1 (per
-    member for a batch)."""
+    member for a batch) of a table over two axes of two outcomes each."""
+    if [count for _, count in table.axes] != [2, 2]:
+        raise ValueError(f"a correlator takes two axes of two outcomes each, got axes {table.axes}")
     p = table.probabilities
     e = p[..., 0, 0] - p[..., 0, 1] - p[..., 1, 0] + p[..., 1, 1]
     return float(e) if p.ndim == 2 else e

@@ -218,7 +218,7 @@ def _candidate_kets(
     (registry order), be orthonormal, and be eigenstates of the system's
     reduced state in every member; this is how scenario code pins a basis
     when the spectrum is degenerate.  The list checks run first, system by
-    system; the rest take one stacked pass per system dimension
+    system; the rest take one stacked pass per ket shape
     (``_check_supplied``).
     """
     if candidates is None:
@@ -248,43 +248,40 @@ def _check_supplied(systems: list[tuple[str, ...]], state: StateVector, kets: li
     """Refuse supplied candidate ``kets`` that are not orthonormal
     eigenstates of their system's reduced state in every member.
 
-    All systems of one dimension ``d`` share one pass: their reduced states
-    over all members come from one ``_pure_reduced`` stack and meet the
-    density-operator rules in one ``_density_rules`` call; their kets, side
-    by side, take one Gram product, and one 2-D product applies every
-    reduced state to every ket (a system's check ignores the columns of the
-    others).  Only when some check fails are the systems walked in the
-    order given, reading each one's row of those results: its density rules
-    first, then orthogonality, then the eigenstate rule, to raise for the
-    first fault, naming the state's batch member that fails.
+    All systems whose kets have one shape ``(d, n)`` share one pass on a
+    leading system axis: their reduced states over all members come from
+    one ``_pure_reduced`` stack and meet the density-operator rules in one
+    ``_density_rules`` call; each system's kets take their own Gram product
+    and meet that system's reduced state in every member in one product.
+    Only when some check fails are the systems walked in the order given,
+    reading each one's row of those results: its density rules first, then
+    orthogonality, then the eigenstate rule, to raise for the first fault,
+    naming the state's batch member that fails.
     """
     lead = (state.batch,) if state.batch else ()
     passed, rows = True, {}
-    for d in {len(columns) for columns in kets}:
-        group = [j for j, columns in enumerate(kets) if len(columns) == d]
+    for d, n in {columns.shape for columns in kets}:
+        group = [j for j, columns in enumerate(kets) if columns.shape == (d, n)]
         rho = _pure_reduced(state, [systems[j] for j in group], d).reshape(len(group), *lead, d, d)
-        side_by_side = np.concatenate([kets[j] for j in group], axis=1)
-        # owner[c] is the row in ``group`` of the system whose ket is column c
-        owner = np.repeat(np.arange(len(group)), [kets[j].shape[1] for j in group])
-        gram = np.abs(side_by_side.conj().T @ side_by_side - np.eye(len(owner))) <= EIGENSTATE_TOL
-        orthonormal = (gram | (owner[:, None] != owner)).all(axis=0)
-        images = (rho.reshape(-1, d) @ side_by_side).reshape(*rho.shape[:-1], len(owner))
-        weights = (side_by_side.conj() * images).sum(axis=-2)
-        eigen = np.linalg.norm(images - weights[..., None, :] * side_by_side, axis=-2) <= EIGENSTATE_TOL
-        others = (owner != np.arange(len(group))[:, None]).reshape(len(group), *(1,) * len(lead), -1)
+        stack = np.array([kets[j] for j in group])
+        orthonormal = (np.abs(stack.conj().swapaxes(-1, -2) @ stack - np.eye(n)) <= EIGENSTATE_TOL).all(axis=(-2, -1))
+        images = (rho.reshape(len(group), -1, d) @ stack).reshape(*rho.shape[:-1], n)
+        stack = stack.reshape(len(group), *(1,) * len(lead), d, n)
+        weights = (stack.conj() * images).sum(axis=-2)
+        eigen = np.linalg.norm(images - weights[..., None, :] * stack, axis=-2) <= EIGENSTATE_TOL
         density = _density_rules(rho)
-        passed &= all(ok.all() for ok, _, _ in density) and orthonormal.all() and (eigen | others).all()
-        rows.update((j, (row, density, orthonormal, eigen, owner == row)) for row, j in enumerate(group))
+        passed &= all(ok.all() for ok, _, _ in density) and orthonormal.all() and eigen.all()
+        rows.update((j, (row, density, orthonormal, eigen)) for row, j in enumerate(group))
     if passed:
         return
     for j, system in enumerate(systems):
-        row, density, orthonormal, eigen, mine = rows[j]
+        row, density, orthonormal, eigen = rows[j]
         name = "+".join(system)
         for ok, error, message in density:
             _check(ok[row], error, lambda i: message((row, i) if lead else row))
-        if not orthonormal[mine].all():
+        if not orthonormal[row]:
             raise ValueError(f"candidates for {name} are not orthogonal")
-        ok = eigen[row][..., mine]
+        ok = eigen[row]
         _check(ok.all(axis=-1), ValueError, lambda i: f"candidate {np.argmin(ok[i])} for {name} is not an eigenstate")
 
 

@@ -11,12 +11,13 @@ line per item and a total.  Running it against two source trees
 (``PYTHONPATH=<tree>/src``) and comparing the totals checks that a change
 keeps these outputs byte-identical, as ``cli_corpus.py`` does for reports.
 
-The items cycle through seven kinds: an operator batch applied to a single
+The items cycle through eight kinds: an operator batch applied to a single
 state, an operator (single or batched) applied to a batched state, a joint
 table from spectral candidates, batched pointer tables, partial traces of
-pure and density states, a 1000-member direct table and the ``bell-ancilla``
-tables.  The ancilla item hashes its tables, not its state, whose zero
-amplitudes may carry either sign.  pytest does not collect this file.
+pure and density states, a 1000-member direct table, the ``bell-ancilla``
+tables, and the same tables for a batch of 1 to 50 settings.  The ancilla
+items hash their tables, not their state, whose zero amplitudes may carry
+either sign.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from qrs_sim.linalg import DensityOperator, Operator, SpaceRegistry, StateVector
 from qrs_sim.reference import ReferenceSystem, joint_distribution
 
 SPACE = SpaceRegistry([("A", 2), ("B", 3), ("C", 3), ("D", 2)])
-KINDS = ("apply-single", "apply-batched", "spectral", "pointer-batch", "partial-trace", "direct-1000", "ancilla")
+KINDS = ("apply-single", "apply-batched", "spectral", "pointer-batch", "partial-trace", "direct-1000", "ancilla", "ancilla-batch")
 
 
 def _unitaries(rng, d: int, batch):
@@ -85,7 +86,7 @@ def item(kind: str, rng) -> list[np.ndarray]:
         return [partial_trace(state, keep).matrix, partial_trace(rho, keep).matrix]
     if kind == "direct-1000":
         return [bell.correlation_direct(_config(rng, 1000)).probabilities]
-    state = bell.ancilla_experiment(_config(rng))
+    state = bell.ancilla_experiment(_config(rng, int(rng.integers(1, 51)) if kind == "ancilla-batch" else None))
     return [table.probabilities for table in bell.pointer_tables(state, (bell.A1, bell.A2, bell.M1, bell.M2), (bell.M1, bell.M2))]
 
 

@@ -266,10 +266,12 @@ def controlled_swap_by_einsum(amps: np.ndarray, complete: bool = False) -> np.nd
 
 
 def ancilla_chi_by_einsum(config: bell.ExperimentConfig, which: int) -> np.ndarray:
-    """The ``(2, 6)`` complex chi amplitudes of one side from one three-operand ``einsum``."""
-    theta = config.theta(which)
-    chi = np.einsum("jl,js,jm->lsm", bell.outcome_overlaps(theta, which), bell._spin_rows(theta), np.eye(bell.POINTER_DIM)[1:])
-    return chi.reshape(2, -1).astype(complex)
+    """The ``(..., 2, 6)`` complex chi amplitudes of one side, one pair per
+    setting of the config, from one three-operand ``einsum``."""
+    theta = np.broadcast_arrays(config.theta1, config.theta2)[which - 1]
+    rows, pointers = bell._spin_rows(theta), np.eye(bell.POINTER_DIM)[1:]
+    chi = np.einsum("...jl,...js,jm->...lsm", bell.outcome_overlaps(theta, which), rows, pointers)
+    return chi.reshape(*theta.shape, 2, -1).astype(complex)
 
 
 def closed_tables_stacked(config: bell.ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -33,6 +33,7 @@ from qrs_sim.bell import (
     correlation_entangled,
     correlation_factorized,
     correlation_direct,
+    correlator,
     device_marginal,
     evolve_experiment,
     intuitive_joint,
@@ -41,6 +42,7 @@ from qrs_sim.bell import (
     particle_space,
     pointer_outcome_states,
     pointer_space,
+    pointer_tables,
 )
 from qrs_sim.cli import build_spec, emit, run
 
@@ -87,6 +89,13 @@ def test_criterion_2_pair_correlations():
 # every (theta1, theta2) pair of the grid, theta1 slowest: one batched config
 # per coefficient pair evaluates the whole 25 x 25 grid in one call
 THETA1, THETA2 = (tuple(t.ravel()) for t in np.meshgrid(GRID, GRID, indexing="ij"))
+
+
+def grid_chsh(correlators):
+    """S = E(a, b) - E(a, b') + E(a', b) + E(a', b') for every quadruple of
+    grid angles, from the correlators over the grid (theta1 slowest)."""
+    e = np.reshape(correlators, (len(GRID), len(GRID)))
+    return e[:, None, :, None] - e[:, None, None, :] + e[None, :, :, None] + e[None, :, None, :]
 
 
 def test_criterion_3_route_equivalence():
@@ -166,6 +175,26 @@ def test_criterion_6_ancilla_collapse():
             np.max(np.abs(ancilla_device_table(best).probabilities - correlation_entangled(best).probabilities))
         )
         assert disagreement >= 0.2
+
+        # the whole 25 x 25 grid of criterion 3 for its 20 pairs and the
+        # default pair, both tables from one batched state per pair; S runs
+        # over every quadruple (alpha, alpha', beta, beta') of grid angles
+        rng = np.random.default_rng(37)
+        pairs = [random_coefficients(rng) for _ in range(20)] + [(ExperimentConfig().a, ExperimentConfig().b)]
+        worst_four_way = worst_device = worst_s = 0.0
+        for a, b in pairs:
+            config = ExperimentConfig(a=a, b=b, theta1=THETA1, theta2=THETA2)
+            state = ancilla_experiment(config)
+            four_way, device = pointer_tables(state, ("A1", "A2", "M1", "M2"), ("M1", "M2"))
+            worst_four_way = max(worst_four_way, float(np.max(np.abs(four_way.probabilities - intuitive_joint(config)))))
+            factorized = correlation_factorized(config).probabilities
+            worst_device = max(worst_device, float(np.max(np.abs(device.probabilities - factorized))))
+            worst_s = max(worst_s, float(np.max(np.abs(grid_chsh(correlator(device))))))
+        assert worst_four_way <= 1e-12, f"worst four-way residual {worst_four_way:.3e}"
+        assert worst_device <= 1e-12, f"worst device-table residual {worst_device:.3e}"
+        assert worst_s <= 2.0 + 1e-9, f"ancilla device table reaches |S| = {worst_s!r}"
+        entangled = correlator(correlation_entangled(ExperimentConfig(theta1=THETA1, theta2=THETA2)))
+        assert float(np.max(np.abs(grid_chsh(entangled)))) > 2.0
 
 
 def test_criterion_7_non_comparability():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from qrs_sim.bell import (
     evolve_experiment,
     intuitive_joint,
     measurement_unitary,
+    pointer_tables,
     spin_eigenstates,
 )
 from qrs_sim.linalg import SpaceRegistry, StateVector
@@ -37,6 +39,11 @@ from qrs_sim.linalg import SpaceRegistry, StateVector
 from oracles import embed_operator
 
 ROOT_HALF = 2**-0.5
+
+
+def same_bytes(x, y) -> bool:
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
 def random_config(rng, real=False, theta_span=2 * math.pi):
@@ -155,6 +162,25 @@ class TestCorrelationTable:
         for table, message in cases:
             with pytest.raises(ValueError, match=message):
                 JointDistribution(DEVICE_AXES, table)
+
+    def test_correlator_takes_two_axes_of_two_outcomes(self):
+        # a batch axis is not a table axis: a single four-way table is not
+        # read as a batch of device tables
+        single = ExperimentConfig(theta1=0.3, theta2=1.1)
+        batched = ExperimentConfig(theta1=(0.3, 0.7), theta2=1.1)
+        four_way = "((('A1',), 2), (('A2',), 2), (('M1',), 2), (('M2',), 2))"
+        cases = (
+            (ancilla_joint_distribution(single), four_way),
+            (ancilla_joint_distribution(batched), four_way),
+            (JointDistribution(((("M1",), 3), (("M2",), 2)), np.full((3, 2), 1 / 6)), "((('M1',), 3), (('M2',), 2))"),
+            (JointDistribution(((("M1",), 2),), np.full((3, 2), 0.5)), "((('M1',), 2),)"),
+        )
+        for table, axes in cases:
+            with pytest.raises(ValueError) as excinfo:
+                correlator(table)
+            assert str(excinfo.value) == f"a correlator takes two axes of two outcomes each, got axes {axes}"
+        # device tables over two axes of two outcomes, single or batched, are read
+        assert correlator(ancilla_device_table(single)) == correlator(ancilla_device_table(batched))[0]
 
     def test_routes_return_device_joint_distributions(self, monkeypatch):
         single = ExperimentConfig(a=0.6, b=0.8, theta1=0.3, theta2=1.1)
@@ -642,15 +668,40 @@ class TestBatchedSettings:
         with pytest.raises(ValueError, match="batch member 0"):
             JointDistribution(DEVICE_AXES, [np.full((2, 2), np.nan)])
 
-    def test_ancilla_functions_reject_batches(self):
-        config = ExperimentConfig(theta1=(0.1, 0.2), theta2=0.3)
-        calls = [
-            ("ancilla_candidate_states", lambda: ancilla_candidate_states(config, 1)),
-            ("ancilla_candidate_states", lambda: ancilla_recording_unitary(config, 2)),
-            ("ancilla_experiment", lambda: ancilla_experiment(config)),
-            ("ancilla_experiment", lambda: ancilla_joint_distribution(config)),
-            ("ancilla_experiment", lambda: ancilla_device_table(config)),
-        ]
-        for name, call in calls:
-            with pytest.raises(ValueError, match=f"{name} takes a single value, not a batch of 2"):
-                call()
+    @pytest.mark.parametrize("both_batched", [False, True], ids=["tuple-float", "two-tuples"])
+    def test_ancilla_functions_match_per_point_exactly(self, rng, both_batched):
+        config = self.batch_config(rng, n=7)
+        if not both_batched:
+            config = ExperimentConfig(a=config.a, b=config.b, theta1=config.theta1, theta2=0.3)
+        final = ancilla_experiment(config)
+        four_way, device = ancilla_joint_distribution(config), ancilla_device_table(config)
+        sides = {which: (ancilla_candidate_states(config, which), ancilla_recording_unitary(config, which)) for which in (1, 2)}
+        assert final.batch == four_way.batch == device.batch == 7
+        for i, member in enumerate(self.members(config)):
+            assert same_bytes(final.amplitudes[i], ancilla_experiment(member).amplitudes)
+            assert same_bytes(four_way.probabilities[i], ancilla_joint_distribution(member).probabilities)
+            assert same_bytes(device.probabilities[i], ancilla_device_table(member).probabilities)
+            for which, (chi, unitary) in sides.items():
+                assert [state.batch for state in chi] == [7, 7] and unitary.batch == 7
+                single = ancilla_candidate_states(member, which)
+                assert all(same_bytes(b.amplitudes[i], s.amplitudes) for b, s in zip(chi, single))
+                assert same_bytes(unitary.matrix[i], ancilla_recording_unitary(member, which).matrix)
+
+    def test_ancilla_route_stays_within_its_memory_budget(self):
+        # the README's budget: the peak measured before this test existed
+        # (29.53 MB, numpy 2.4) rounded up to 0.1 MB
+        grid = np.linspace(0.0, 2.0 * math.pi, 25)
+        theta1, theta2 = (tuple(t.ravel()) for t in np.meshgrid(grid, grid, indexing="ij"))
+
+        def route(config):
+            return pointer_tables(ancilla_experiment(config), ("A1", "A2", "M1", "M2"), ("M1", "M2"))
+
+        route(ExperimentConfig(theta1=(0.1, 0.2), theta2=0.3))
+        config = ExperimentConfig(theta1=theta1, theta2=theta2)
+        tracemalloc.start()
+        try:
+            route(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 29.6e6

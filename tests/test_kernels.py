@@ -129,16 +129,17 @@ def test_measurement_swaps_match_einsum(batch):
     assert same_bytes(bell._controlled_swap(rows), controlled_swap_by_einsum(rows))
 
 
-def test_ancilla_swaps_match_einsum():
-    rng = np.random.default_rng(6)
-    for config in configs(rng, 20):
+@pytest.mark.parametrize("batch", [None, 1, 100])
+def test_ancilla_swaps_match_einsum(batch):
+    rng = np.random.default_rng(6 if batch is None else [6, batch])
+    for config in configs(rng, 20, batch):
         for which in (1, 2):
-            chi = bell._ancilla_chi(config, which).amplitudes
+            chi = bell._ancilla_chi(config, which)
             assert same_bytes(chi, ancilla_chi_by_einsum(config, which))
             assert same_bytes(bell._controlled_swap(chi, complete=True), controlled_swap_by_einsum(chi, complete=True))
     # complex control rows, with and without the complement
     for _ in range(20):
-        rows = unitaries(rng, 6, None)[:2]
+        rows = unitaries(rng, 6, batch)[..., :2, :]
         for complete in (False, True):
             assert same_bytes(bell._controlled_swap(rows, complete), controlled_swap_by_einsum(rows, complete))
 
@@ -191,9 +192,9 @@ def test_ancilla_start_matches_products_by_value_and_tables_by_bytes(monkeypatch
 def test_library_corpus_is_repeatable(capsys):
     # the byte-identity check between two trees relies on a run of the
     # corpus script printing the same lines every time
-    outputs = []
+    outputs, runs = [], 2 * len(library_corpus.KINDS)
     for _ in range(2):
-        assert library_corpus.main(["14"]) == 0
+        assert library_corpus.main([str(runs)]) == 0
         outputs.append(capsys.readouterr().out.splitlines())
-    assert outputs[0] == outputs[1] and len(outputs[0]) == 14 + 1
+    assert outputs[0] == outputs[1] and len(outputs[0]) == runs + 1
     assert outputs[0][-1].endswith(f"({', '.join(f'{kind} x 2' for kind in sorted(library_corpus.KINDS))})")

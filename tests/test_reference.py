@@ -622,11 +622,14 @@ class TestSuppliedCandidates:
                         assert isinstance(got, tuple) and fault in got[1].lower(), (name, target, member)
                         assert got == checked(lambda: candidate_kets_by_system(systems, reference, candidates))
 
-    def test_one_reduced_state_pass_per_dimension(self, monkeypatch):
+    def test_one_reduced_state_pass_per_ket_shape(self, monkeypatch):
+        # systems share a pass when their kets share a shape (d, n); the
+        # mixed cases hold a 3-dim system with three candidates and one
+        # with two, so they take three passes
         calls = []
 
         def counted(state, systems, dim):
-            calls.append((len(systems), dim))
+            calls.append(sorted(tuple(system) for system in systems))
             return _pure_reduced(state, systems, dim)
 
         monkeypatch.setattr("qrs_sim.reference._pure_reduced", counted)
@@ -634,9 +637,12 @@ class TestSuppliedCandidates:
             if refusal is None:
                 calls.clear()
                 joint_distribution(systems, reference, candidates=candidates)
-                dims = {reference.space.restrict(system).dim for system in systems}
-                assert sorted(dim for _, dim in calls) == sorted(dims), name
-                assert sum(count for count, _ in calls) == len(systems), name
+                systems = _normalized_systems(systems, reference)
+                shapes = {}
+                for system, states in zip(systems, candidates):
+                    shapes.setdefault((reference.space.restrict(system).dim, len(states)), []).append(system)
+                assert sorted(calls) == sorted(sorted(group) for group in shapes.values()), name
+                assert len(calls) == (3 if name.startswith("dims 2 and 3") else 1), name
 
     def test_bad_arguments_are_named(self):
         ref = pair_system()
