@@ -127,9 +127,6 @@ class ExperimentConfig:
         """Number of settings in a batched config, None for one setting."""
         return next((len(t) for t in (self.theta1, self.theta2) if isinstance(t, tuple)), None)
 
-    def theta(self, which: int) -> float | tuple[float, ...]:
-        return self.theta1 if _side(which) == 1 else self.theta2
-
 
 def _side(which: int) -> int:
     if which not in (1, 2):
@@ -148,8 +145,9 @@ def _spin_rows(theta) -> np.ndarray:
     """The rows xi_1, xi_2 of ``spin_eigenstates``, (..., 2, 2) over ``theta``."""
     half = np.asarray(theta, dtype=float) / 2.0
     c, s = np.cos(half), np.sin(half)
-    xi = np.array([[c, s], [-s, c]])
-    return xi.transpose(*range(2, xi.ndim), 0, 1)
+    xi = np.empty((*half.shape, 2, 2))
+    xi[..., 0, 0], xi[..., 0, 1], xi[..., 1, 0], xi[..., 1, 1] = c, s, -s, c
+    return xi
 
 
 def spin_eigenstates(theta, label: str = "P") -> tuple[StateVector, StateVector]:
@@ -330,13 +328,12 @@ def ancilla_candidate_states(config: ExperimentConfig, which: int) -> tuple[Stat
 
 def _ancilla_chi(config: ExperimentConfig, which: int) -> np.ndarray:
     """chi_1, chi_2 of ``ancilla_candidate_states`` as ``(..., 2, 6)``
-    amplitudes over the config's settings, norm-checked as one batch."""
+    complex amplitudes over the config's settings, not yet norm-checked."""
     side = _side(which)
     theta = np.broadcast_arrays(config.theta1, config.theta2)[side - 1]
-    chi = np.zeros((*theta.shape, 2, SPIN_DIM, POINTER_DIM))
+    chi = np.zeros((*theta.shape, 2, SPIN_DIM, POINTER_DIM), dtype=complex)
     chi[..., 1:] = np.einsum("...jl,...js->...lsj", outcome_overlaps(theta, side), _spin_rows(theta))
-    space = _space(*zip(_SIDE_LABELS[side][:2], (SPIN_DIM, POINTER_DIM)))
-    return StateVector(space, chi.reshape(-1, space.dim)).amplitudes.reshape(*theta.shape, 2, -1)
+    return chi.reshape(*theta.shape, 2, -1)
 
 
 def ancilla_recording_unitary(config: ExperimentConfig, which: int) -> Operator:
@@ -345,9 +342,10 @@ def ancilla_recording_unitary(config: ExperimentConfig, which: int) -> Operator:
     completed by the controlled ready <-> slot_l pointer swap and the
     identity on the orthogonal complement of the chi states.  It leaves the
     chi states themselves untouched; batched per setting."""
-    side = _side(which)
+    side, chi = _side(which), _ancilla_chi(config, which)
     space = _space(*zip(_SIDE_LABELS[side], (SPIN_DIM, POINTER_DIM, POINTER_DIM)))
-    return Operator(space, _controlled_swap(_ancilla_chi(config, side), complete=True))
+    StateVector(_space(*space.entries[:2]), chi.reshape(-1, chi.shape[-1]))  # chi's norm check, one batch
+    return Operator(space, _controlled_swap(chi, complete=True))
 
 
 def ancilla_experiment(config: ExperimentConfig) -> StateVector:
@@ -394,19 +392,33 @@ _TABLE_ROUTES = {
 }
 
 
-def chsh(kind: str, angles, a: complex = ROOT_HALF, b: complex = ROOT_HALF) -> float | np.ndarray:
-    """CHSH combination S = E(alpha, beta) - E(alpha, beta') +
-    E(alpha', beta) + E(alpha', beta') for the chosen correlation route.
-    Each angle may be a float or an equal-length 1-D array of B values; all
-    4 B settings take one route call, and S is a float for scalar angles,
-    else an array."""
-    if kind not in _TABLE_ROUTES:
-        raise ValueError(f"kind must be one of {sorted(_TABLE_ROUTES)}, got {kind!r}")
+def _chsh_settings(angles, a: complex, b: complex) -> tuple[ExperimentConfig, bool]:
+    """The 4 B settings of a CHSH quadruple as one batched config, in the
+    order (alpha, beta), (alpha, beta'), (alpha', beta), (alpha', beta'),
+    and whether every angle was a scalar."""
     alpha, alpha_p, beta, beta_p = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in angles))
     if alpha.ndim > 1:
         raise ValueError(f"CHSH angles must be floats or 1-D arrays, got shape {alpha.shape}")
     theta1 = np.concatenate([alpha, alpha, alpha_p, alpha_p], axis=None)
     theta2 = np.concatenate([beta, beta_p, beta, beta_p], axis=None)
-    e = np.reshape(correlator(_TABLE_ROUTES[kind](ExperimentConfig(a, b, theta1, theta2))), (4, -1))
+    return ExperimentConfig(a, b, theta1, theta2), alpha.ndim == 0
+
+
+def _chsh_value(table: JointDistribution, scalar: bool) -> float | np.ndarray:
+    """S of a route's table over the settings of ``_chsh_settings``."""
+    e = np.reshape(correlator(table), (4, -1))
     s = e[0] - e[1] + e[2] + e[3]
-    return float(s[0]) if alpha.ndim == 0 else s
+    return float(s[0]) if scalar else s
+
+
+def chsh(kind: str, angles, a: complex = ROOT_HALF, b: complex = ROOT_HALF) -> float | np.ndarray:
+    """CHSH combination S = E(alpha, beta) - E(alpha, beta') +
+    E(alpha', beta) + E(alpha', beta') for the chosen correlation route.
+    Each angle may be a float or an equal-length 1-D array of B values; all
+    4 B settings form one config and take one route call, and S is a float
+    for scalar angles, else an array.  It is ``_chsh_value`` of the route's
+    table on ``_chsh_settings``, so several routes can share one config."""
+    if kind not in _TABLE_ROUTES:
+        raise ValueError(f"kind must be one of {sorted(_TABLE_ROUTES)}, got {kind!r}")
+    config, scalar = _chsh_settings(angles, a, b)
+    return _chsh_value(_TABLE_ROUTES[kind](config), scalar)

@@ -423,11 +423,11 @@ def _run_ancilla(spec: ScenarioSpec) -> RunReport:
 def _run_chsh_scan(spec: ScenarioSpec) -> RunReport:
     alpha, alpha_p, beta, beta_p = spec.angles if spec.angles else DEFAULT_QUADRUPLE
     points = np.linspace(*spec.grid) if spec.grid else np.array([beta])
-    # the whole grid goes through each route in one batched call
-    quad = (alpha, alpha_p, points, points + (beta_p - beta))
-    s_ent = bell.chsh("entangled", quad, spec.a, spec.b)
-    s_fac = bell.chsh("factorized", quad, spec.a, spec.b)
-    s_direct = bell.chsh("direct", quad, spec.a, spec.b)
+    # the whole grid is one settings batch, built once; each route takes it in one call
+    config, _ = bell._chsh_settings((alpha, alpha_p, points, points + (beta_p - beta)), spec.a, spec.b)
+    s_ent = bell._chsh_value(bell.correlation_entangled(config), False)
+    s_fac = bell._chsh_value(bell.correlation_factorized(config), False)
+    s_direct = bell._chsh_value(bell.correlation_direct(config), False)
 
     report = RunReport(spec=spec)
     report.tables.append(ReportTable("scan_angle", points.astype(float), ("point",)))

@@ -51,9 +51,10 @@ def _check(ok, error: type, message) -> None:
     """Raise ``error(message(i))`` for the first member ``i`` failing ``ok``:
     shape () for a single value (``i = ()``), (B,) for a batch (the message
     then names ``i``).  Callers write ``ok`` so that NaN fails it."""
-    if not ok.all():
-        i = int(np.argmin(ok)) if np.ndim(ok) else ()
-        raise error((f"batch member {i}: " if np.ndim(ok) else "") + message(i))
+    if ok.all() if ok.ndim else ok:
+        return
+    i = int(np.argmin(ok)) if ok.ndim else ()
+    raise error((f"batch member {i}: " if ok.ndim else "") + message(i))
 
 
 def _is_index(value) -> bool:
@@ -296,17 +297,26 @@ def _density_rules(mat: np.ndarray) -> list:
     stack, as ``(ok, error, message)`` in the order they are checked:
     Hermiticity and trace within 1e-12, eigenvalues >= -1e-12.  ``ok`` is an
     array over the leading axes, and ``message(i)`` describes the failure
-    of member ``i``.  One ``eigvalsh`` covers the stack; a matrix that
-    breaks either of the first two rules, and so is refused before its
-    eigenvalues matter, enters it as zeros."""
+    of member ``i``.  A member that meets the first two rules and whose
+    Gershgorin bound is at least -PSD_TOL/2 meets the third; only the rest
+    go through ``eigvalsh``, so every refusal reads its eigenvalue."""
     # every guard is written so that NaN fails it, and overflow to inf or
     # NaN fails it silently
     with np.errstate(over="ignore", invalid="ignore"):
         herm = np.abs(mat - mat.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
         trace = np.trace(mat, axis1=-2, axis2=-1)
+        # Gershgorin (1931) on the matrix eigvalsh reads, its lower triangle
+        # mirrored: its off-diagonal row sums exceed the stored ones by at
+        # most (d - 1) herm.  Under the PSD_TOL/2 margin the eigensolver's
+        # rounding, about d eps, cannot refuse a member the bound clears.
+        diagonal = np.diagonal(mat, axis1=-2, axis2=-1)
+        rows = np.abs(mat).sum(axis=-1) - np.abs(diagonal) + (mat.shape[-1] - 1) * herm[..., None]
+        bound = (diagonal.real - rows).min(axis=-1)
     hermitian, unit = herm <= HERMITIAN_TOL, np.abs(trace - 1.0) <= TRACE_TOL
-    ok = hermitian & unit
-    smallest = np.linalg.eigvalsh(mat if ok.all() else np.where(ok[..., None, None], mat, 0))[..., 0]
+    unsettled = hermitian & unit & ~(bound >= -PSD_TOL / 2)
+    smallest = np.zeros(unsettled.shape)
+    if unsettled.any():
+        smallest[unsettled] = np.linalg.eigvalsh(mat[unsettled])[:, 0]
     return [
         (hermitian, NotHermitian, lambda i: f"Hermiticity residual {herm[i]:.3e} exceeds {HERMITIAN_TOL}"),
         (unit, ValueError, lambda i: f"trace {complex(trace[i])!r} deviates from 1 by more than {TRACE_TOL}"),

@@ -88,15 +88,17 @@ class JointDistribution:
         batched = table.ndim == len(shape) + 1
         if table.shape[batched:] != shape or not table.size:
             raise ValueError(f"table shape {table.shape} matches neither axes {shape} nor a batch of them")
-        # one value per member
+        # one value per member; a sum within the tolerance is finite, so
+        # every entry is, and the rules are walked only when one fails
         members = tuple(range(batched, table.ndim))
-        finite = np.isfinite(table)
-        _check(finite.all(axis=members), ValueError, lambda i: f"probability {float(table[i][~finite[i]][0])!r} is not finite")
-        with np.errstate(over="ignore"):  # finite entries may still overflow the sum to inf, which fails
+        with np.errstate(over="ignore", invalid="ignore"):  # a sum that is not finite fails
             low, total = table.min(axis=members), table.sum(axis=members)
-        _check(low >= -PROB_CLAMP, ValueError, lambda i: f"negative probability {low[i]:.3e} below -{PROB_CLAMP}")
-        ok = np.abs(total - 1.0) <= TABLE_SUM_TOL
-        _check(ok, ValueError, lambda i: f"table sums to {float(total[i])!r}, off from 1 by over {TABLE_SUM_TOL}")
+        nonnegative, unit = low >= -PROB_CLAMP, np.abs(total - 1.0) <= TABLE_SUM_TOL
+        if not (nonnegative & unit).all():
+            finite = np.isfinite(table)
+            _check(finite.all(axis=members), ValueError, lambda i: f"probability {float(table[i][~finite[i]][0])!r} is not finite")
+            _check(nonnegative, ValueError, lambda i: f"negative probability {low[i]:.3e} below -{PROB_CLAMP}")
+            _check(unit, ValueError, lambda i: f"table sums to {float(total[i])!r}, off from 1 by over {TABLE_SUM_TOL}")
         table = table.copy()
         table.flags.writeable = False
         object.__setattr__(self, "probabilities", table)

@@ -19,6 +19,11 @@ placed start states replaced, as they were: the stacked apply, the
 closed forms and the start states multiplied out by ``tensor_product`` and
 ``reorder``.  The package must match them byte for byte; a placed start
 matches by value only, since the products sign some zeros differently.
+
+The decision rules keep the routes a bound-first screen replaced: the
+density-operator rules with one ``eigvalsh`` over the whole stack, and the
+probability-table rules walked one by one on every table.  The package
+must reach the same decisions with the same messages.
 """
 
 import numpy as np
@@ -28,6 +33,8 @@ from qrs_sim.errors import NotHermitian, NotIsolated, UnknownLabel
 from qrs_sim.linalg import (
     DEGENERACY_GAP,
     HERMITIAN_TOL,
+    PSD_TOL,
+    TRACE_TOL,
     DensityOperator,
     Operator,
     SpaceRegistry,
@@ -43,6 +50,8 @@ from qrs_sim.linalg import (
 from qrs_sim.reference import (
     CANDIDATE_CUTOFF,
     EIGENSTATE_TOL,
+    PROB_CLAMP,
+    TABLE_SUM_TOL,
     JointDistribution,
     ReferenceSystem,
     _candidate_kets,
@@ -301,7 +310,7 @@ def evolve_by_products(config: bell.ExperimentConfig) -> StateVector:
     for side in (1, 2):
         particle, pointer, _ = bell._SIDE_LABELS[side]
         space = SpaceRegistry([(particle, bell.SPIN_DIM), (pointer, bell.POINTER_DIM)])
-        state = apply_stacked(Operator(space, controlled_swap_by_einsum(bell._spin_rows(config.theta(side)))), state)
+        state = apply_stacked(Operator(space, controlled_swap_by_einsum(bell._spin_rows((config.theta1, config.theta2)[side - 1]))), state)
     return state
 
 
@@ -314,3 +323,37 @@ def ancilla_experiment_by_products(config: bell.ExperimentConfig) -> StateVector
         unitary = controlled_swap_by_einsum(ancilla_chi_by_einsum(config, side), complete=True)
         state = apply_stacked(Operator(space, unitary), state)
     return state
+
+
+def density_rules_by_eigvalsh(mat: np.ndarray) -> list:
+    """``linalg._density_rules`` with one ``eigvalsh`` over the whole stack;
+    a matrix refused by either of the first two rules enters it as zeros."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm = np.abs(mat - mat.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        trace = np.trace(mat, axis1=-2, axis2=-1)
+    hermitian, unit = herm <= HERMITIAN_TOL, np.abs(trace - 1.0) <= TRACE_TOL
+    ok = hermitian & unit
+    smallest = np.linalg.eigvalsh(mat if ok.all() else np.where(ok[..., None, None], mat, 0))[..., 0]
+    return [
+        (hermitian, NotHermitian, lambda i: f"Hermiticity residual {herm[i]:.3e} exceeds {HERMITIAN_TOL}"),
+        (unit, ValueError, lambda i: f"trace {complex(trace[i])!r} deviates from 1 by more than {TRACE_TOL}"),
+        (smallest >= -PSD_TOL, ValueError, lambda i: f"negative eigenvalue {smallest[i]:.3e} below -{PSD_TOL}"),
+    ]
+
+
+def table_rules_by_walk(axes, probabilities) -> None:
+    """The ``JointDistribution`` rules walked one by one, finite entries
+    first, then negative entries, then the sum; raises as the constructor does."""
+    shape = tuple(count for _, count in axes)
+    table = np.asarray(probabilities, dtype=float)
+    batched = table.ndim == len(shape) + 1
+    if table.shape[batched:] != shape or not table.size:
+        raise ValueError(f"table shape {table.shape} matches neither axes {shape} nor a batch of them")
+    members = tuple(range(batched, table.ndim))
+    finite = np.isfinite(table)
+    _check(finite.all(axis=members), ValueError, lambda i: f"probability {float(table[i][~finite[i]][0])!r} is not finite")
+    with np.errstate(over="ignore"):
+        low, total = table.min(axis=members), table.sum(axis=members)
+    _check(low >= -PROB_CLAMP, ValueError, lambda i: f"negative probability {low[i]:.3e} below -{PROB_CLAMP}")
+    ok = np.abs(total - 1.0) <= TABLE_SUM_TOL
+    _check(ok, ValueError, lambda i: f"table sums to {float(total[i])!r}, off from 1 by over {TABLE_SUM_TOL}")

@@ -450,6 +450,15 @@ class TestAncillaExperiment:
             assert abs(chi2.norm() - 1) < 1e-12
             assert abs(chi1.overlap(chi2)) < 1e-12
 
+    def test_candidate_states_check_each_chi_once(self, monkeypatch):
+        # one checked batch per chi state; the recording route keeps its own check
+        config = ExperimentConfig(theta1=(0.3, 1.0, -2.0), theta2=-1.1)
+        checked = []
+        own = StateVector._own
+        monkeypatch.setattr(StateVector, "_own", lambda self, *rest: checked.append(1) or own(self, *rest))
+        chi = ancilla_candidate_states(config, 1)
+        assert len(checked) == 2 and [state.batch for state in chi] == [3, 3]
+
     def test_recording_unitary_is_unitary(self):
         rng = np.random.default_rng(17)
         u = ancilla_recording_unitary(random_config(rng), 1).matrix

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qrs_sim.cli import (
+    DEFAULT_QUADRUPLE,
     MAX_GRID_STEPS,
     MAX_SAMPLES,
     OPTIONS,
@@ -31,7 +32,7 @@ from qrs_sim.cli import (
     parse_config,
     run,
 )
-from qrs_sim import linalg, reference
+from qrs_sim import bell, linalg, reference
 from qrs_sim.bell import COEFF_MARGIN, COEFF_TOL, ExperimentConfig
 from qrs_sim.errors import ConfigError, NotNormalized
 
@@ -306,6 +307,32 @@ class TestScenarios:
         monkeypatch.setattr(linalg.StateVector, "_own", lambda self, *rest: checked.append(1) or own(self, *rest))
         run(spec)
         assert len(checked) == 8
+
+    def test_scan_builds_two_configs(self, monkeypatch):
+        # the spec's own config and one settings batch that all three routes share
+        built = []
+        post_init = ExperimentConfig.__post_init__
+        monkeypatch.setattr(ExperimentConfig, "__post_init__", lambda config: post_init(config) or built.append(config.batch))
+        run(build_spec({"scenario": "chsh-scan", "a": "0.6", "b": "0.8", "grid": "0,3.1,25"}))
+        assert built == [None, 100]
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_no_scenario_calls_eigvalsh(self, scenario, monkeypatch):
+        # every reduced state a default run validates is settled by its Gershgorin bound
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args, **kwargs: calls.append(1) or eigvalsh(*args, **kwargs))
+        run(build_spec({"scenario": scenario}))
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", ["entangled", "factorized", "direct"])
+    @pytest.mark.parametrize("angles", [DEFAULT_QUADRUPLE, (0.1, 0.7, np.linspace(-1.0, 2.0, 5), np.linspace(0.0, 3.0, 5))], ids=["scalar", "array"])
+    def test_chsh_is_the_helpers_composition(self, kind, angles):
+        config, scalar = bell._chsh_settings(angles, 0.6, 0.8j)
+        route = {"entangled": bell.correlation_entangled, "factorized": bell.correlation_factorized, "direct": bell.correlation_direct}[kind]
+        s, composed = bell.chsh(kind, angles, 0.6, 0.8j), bell._chsh_value(route(config), scalar)
+        assert type(s) is type(composed) and np.asarray(s).tobytes() == np.asarray(composed).tobytes()
+        assert scalar == (angles is DEFAULT_QUADRUPLE)
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_no_scenario_calls_tensordot(self, scenario, monkeypatch):

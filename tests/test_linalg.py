@@ -606,7 +606,7 @@ class TestOperatorApply:
         # transposed copy, which the state keeps
         config = ExperimentConfig(theta1=tuple(np.linspace(-3, 3, 100)), theta2=tuple(np.linspace(3, -3, 100)))
         particle, pointer = ("P1", "M1") if side == 1 else ("P2", "M2")
-        op = measurement_unitary(config.theta(side), particle, pointer)
+        op = measurement_unitary((config.theta1, config.theta2)[side - 1], particle, pointer)
         state = evolve_experiment(ExperimentConfig())
         op.apply(state)
         tracemalloc.start()
