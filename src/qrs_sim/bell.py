@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -127,6 +127,16 @@ class ExperimentConfig:
         """Number of settings in a batched config, None for one setting."""
         return next((len(t) for t in (self.theta1, self.theta2) if isinstance(t, tuple)), None)
 
+    @cached_property
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_spin_rows`` of theta1 and of theta2, held on the instance, not a field."""
+        return _spin_rows(self.theta1), _spin_rows(self.theta2)
+
+    @cached_property
+    def _weights(self) -> np.ndarray:
+        """|c_1|^2, |c_2|^2."""
+        return np.abs(np.array(self.coefficients)) ** 2
+
 
 def _side(which: int) -> int:
     if which not in (1, 2):
@@ -165,7 +175,12 @@ def spin_eigenstates(theta, label: str = "P") -> tuple[StateVector, StateVector]
 def outcome_overlaps(theta, which: int) -> np.ndarray:
     """Real 2x2 matrix O with O[j-1, l-1] = <xi_j(theta) | phi_{which,l}>;
     a (B, 2, 2) stack for a batch of angles."""
-    return _spin_rows(theta)[..., list(PAIR_BASIS[_side(which)])]
+    return _overlaps(_spin_rows(theta), _side(which))
+
+
+def _overlaps(rows: np.ndarray, which: int) -> np.ndarray:
+    """``outcome_overlaps`` of a side's spin rows: a view, side 2's columns reversed."""
+    return rows if which == 1 else rows[..., ::-1]
 
 
 #: ``_SLOT_SWAPS[l]`` exchanges a pointer's ready slot 0 and slot ``l``
@@ -196,7 +211,12 @@ def measurement_unitary(theta, particle: str, pointer: str) -> Operator:
     |xi_j>|ready> -> |xi_j>|outcome_j>, completed by the controlled pointer
     swap ready <-> outcome_j conditioned on xi_j (identity on the remaining
     pointer state); a batch of unitaries for a batch of angles."""
-    return Operator(_space((particle, SPIN_DIM), (pointer, POINTER_DIM)), _controlled_swap(_spin_rows(theta)))
+    return _coupling(_spin_rows(theta), particle, pointer)
+
+
+def _coupling(rows: np.ndarray, particle: str, pointer: str) -> Operator:
+    """``measurement_unitary`` of the spin rows ``rows``."""
+    return Operator(_space((particle, SPIN_DIM), (pointer, POINTER_DIM)), _controlled_swap(rows))
 
 
 def experiment_space() -> SpaceRegistry:
@@ -215,8 +235,9 @@ def evolve_experiment(config: ExperimentConfig) -> StateVector:
     its own particle and pointer axes (a batch for a batched config)."""
     start = np.zeros(experiment_space().dims, dtype=complex)
     start[PAIR_BASIS[1], READY, PAIR_BASIS[2], READY] = config.coefficients
-    moved = measurement_unitary(config.theta1, P1, M1).apply(StateVector(experiment_space(), start.reshape(-1)))
-    return measurement_unitary(config.theta2, P2, M2).apply(moved)
+    rows1, rows2 = config._rows
+    moved = _coupling(rows1, P1, M1).apply(StateVector(experiment_space(), start.reshape(-1)))
+    return _coupling(rows2, P2, M2).apply(moved)
 
 
 def device_marginal(final_state: StateVector, which: int) -> np.ndarray:
@@ -229,8 +250,7 @@ def device_marginal(final_state: StateVector, which: int) -> np.ndarray:
 def correlation_entangled(config: ExperimentConfig) -> JointDistribution:
     """Interference closed form:
     P(j, k) = |sum_l c_l <xi1_j|phi_{1,l}> <xi2_k|phi_{2,l}>|^2."""
-    o1 = outcome_overlaps(config.theta1, 1)
-    o2 = np.swapaxes(outcome_overlaps(config.theta2, 2), -1, -2)
+    o1, o2 = _overlaps(config._rows[0], 1), np.swapaxes(_overlaps(config._rows[1], 2), -1, -2)
     # one 2-D product with the shared diagonal; the second stays per member, as other forms change bits
     amp = (o1.reshape(-1, 2) @ np.diag(config.coefficients)).reshape(o1.shape) @ o2
     return JointDistribution(DEVICE_AXES, np.abs(amp) ** 2)
@@ -239,10 +259,9 @@ def correlation_entangled(config: ExperimentConfig) -> JointDistribution:
 def correlation_factorized(config: ExperimentConfig) -> JointDistribution:
     """No-interference closed form:
     P(j, k) = sum_l |c_l|^2 |<xi1_j|phi_{1,l}>|^2 |<xi2_k|phi_{2,l}>|^2."""
-    o1 = outcome_overlaps(config.theta1, 1) ** 2
-    o2 = np.swapaxes(outcome_overlaps(config.theta2, 2), -1, -2) ** 2
-    weights = np.abs(np.array(config.coefficients)) ** 2
-    return JointDistribution(DEVICE_AXES, (o1.reshape(-1, 2) @ np.diag(weights)).reshape(o1.shape) @ o2)
+    o1 = _overlaps(config._rows[0], 1) ** 2
+    o2 = np.swapaxes(_overlaps(config._rows[1], 2), -1, -2) ** 2
+    return JointDistribution(DEVICE_AXES, (o1.reshape(-1, 2) @ np.diag(config._weights)).reshape(o1.shape) @ o2)
 
 
 @lru_cache(maxsize=None)
@@ -303,12 +322,10 @@ def intuitive_joint(config: ExperimentConfig) -> np.ndarray:
     Its (j, k) marginal is the factorized table; the (l1, l2) marginal is
     diag(|c_1|^2, |c_2|^2).
     """
-    o1 = outcome_overlaps(config.theta1, 1) ** 2
-    o2 = outcome_overlaps(config.theta2, 2) ** 2
-    weights = np.abs(np.array(config.coefficients)) ** 2
+    o1, o2 = _overlaps(config._rows[0], 1) ** 2, _overlaps(config._rows[1], 2) ** 2
     table = np.zeros(np.broadcast_shapes(o1.shape, o2.shape)[:-2] + (2, 2, 2, 2))
     for l in range(2):
-        table[..., l, l, :, :] = weights[l] * (o1[..., :, l, None] * o2[..., None, :, l])
+        table[..., l, l, :, :] = config._weights[l] * (o1[..., :, l, None] * o2[..., None, :, l])
     return table
 
 
@@ -329,11 +346,12 @@ def ancilla_candidate_states(config: ExperimentConfig, which: int) -> tuple[Stat
 def _ancilla_chi(config: ExperimentConfig, which: int) -> np.ndarray:
     """chi_1, chi_2 of ``ancilla_candidate_states`` as ``(..., 2, 6)``
     complex amplitudes over the config's settings, not yet norm-checked."""
-    side = _side(which)
-    theta = np.broadcast_arrays(config.theta1, config.theta2)[side - 1]
-    chi = np.zeros((*theta.shape, 2, SPIN_DIM, POINTER_DIM), dtype=complex)
-    chi[..., 1:] = np.einsum("...jl,...js->...lsj", outcome_overlaps(theta, side), _spin_rows(theta))
-    return chi.reshape(*theta.shape, 2, -1)
+    side, lead = _side(which), () if config.batch is None else (config.batch,)
+    rows = config._rows[side - 1]
+    chi = np.zeros((*lead, 2, SPIN_DIM, POINTER_DIM), dtype=complex)
+    # a float side's products broadcast over the batch
+    chi[..., 1:] = np.einsum("...jl,...js->...lsj", _overlaps(rows, side), rows)
+    return chi.reshape(*lead, 2, -1)
 
 
 def ancilla_recording_unitary(config: ExperimentConfig, which: int) -> Operator:

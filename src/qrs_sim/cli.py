@@ -355,11 +355,10 @@ def _run_intro(spec: ScenarioSpec) -> RunReport:
 def _run_pair(spec: ScenarioSpec) -> RunReport:
     config = spec.config
     dist = bell.pair_distribution(config)
-    weights = np.abs(np.array(config.coefficients)) ** 2
     report = RunReport(spec=spec)
     report.tables.append(ReportTable("pair_table", dist.probabilities, ("j", "k")))
     report.residuals["table_sum:pair_table"] = _off_one(dist.probabilities)
-    report.residuals["route:direct_vs_coefficients"] = _max_abs(dist.probabilities, np.diag(weights))
+    report.residuals["route:direct_vs_coefficients"] = _max_abs(dist.probabilities, np.diag(config._weights))
     _attach_sampling(report, dist, ("j", "k"))
     return report
 

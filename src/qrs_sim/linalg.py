@@ -13,8 +13,8 @@ A state, operator or density operator may carry one leading batch axis of
 length B >= 1 (amplitudes ``(B, dim)``, matrices ``(B, d, d)``); each check
 runs per member, and a failing member is named by its index.  Kernels work
 on a leading axis throughout, a single value being B = 1 squeezed on exit.
-``overlap``, ``density``, ``reorder``, ``tensor_product`` and
-``eig_hermitian`` take a single state and raise ``ValueError`` on a batch.
+``overlap``, ``density``, ``tensor_product`` and ``eig_hermitian`` take
+a single state and raise ``ValueError`` on a batch.
 
 Storage is dense only; the total composite dimension is capped at 4096.
 """
@@ -214,17 +214,6 @@ class StateVector:
         _single("density", self)
         return DensityOperator(self.space, np.outer(self.amplitudes, self.amplitudes.conj()))
 
-    def reorder(self, new_labels) -> "StateVector":
-        """Same state expressed on a permuted registry order."""
-        _single("reorder", self)
-        new_labels = _as_label_tuple(new_labels)
-        if sorted(new_labels) != sorted(self.space.labels):
-            raise UnknownLabel(
-                f"{new_labels} is not a permutation of {self.space.labels}"
-            )
-        tensor = _grouped(self, new_labels)
-        return StateVector(SpaceRegistry(zip(new_labels, tensor.shape[1:])), tensor.reshape(-1))
-
     def __repr__(self) -> str:
         return f"StateVector({self.space!r}, dim={self.space.dim})"
 
@@ -391,9 +380,13 @@ def _pure_reduced(state: StateVector, systems, dim: int) -> np.ndarray:
     ``systems`` (each of total dimension ``dim``, labels in registry order),
     stacked system-major as ``(k * B, dim, dim)``, B = 1 for a single state:
     with the amplitudes of a group grouped as ``m`` = (B, kept, traced), the
-    reduced state is m m^dagger."""
-    m = np.concatenate([_grouped(state, kept).reshape(-1, dim, state.space.dim // dim) for kept in systems])
-    return m @ m.conj().swapaxes(1, 2)
+    reduced state is m m^dagger, one system at a time (one grouped copy and
+    one conjugate each) into one ``(k, B, dim, dim)`` array."""
+    out = np.empty((len(systems), state.batch or 1, dim, dim), dtype=complex)
+    for block, kept in zip(out, systems):
+        m = _grouped(state, kept).reshape(-1, dim, state.space.dim // dim)
+        np.matmul(m, m.conj().swapaxes(1, 2), out=block)
+    return out.reshape(-1, dim, dim)
 
 
 def eig_hermitian(rho: DensityOperator) -> Spectrum:

@@ -17,8 +17,9 @@ The last group keeps the routes that one 2-D product per shared operand and
 placed start states replaced, as they were: the stacked apply, the
 ``tensordot`` contraction, the ``einsum`` controlled swap, the stacked
 closed forms and the start states multiplied out by ``tensor_product`` and
-``reorder``.  The package must match them byte for byte; a placed start
-matches by value only, since the products sign some zeros differently.
+``reorder`` (a registry permutation only these routes use).  The package
+must match them byte for byte; a placed start matches by value only, since
+the products sign some zeros differently.
 
 The decision rules keep the routes a bound-first screen replaced: the
 density-operator rules with one ``eigvalsh`` over the whole stack, and the
@@ -40,6 +41,7 @@ from qrs_sim.linalg import (
     SpaceRegistry,
     Spectrum,
     StateVector,
+    _as_label_tuple,
     _check,
     _front,
     _grouped,
@@ -291,11 +293,21 @@ def closed_tables_stacked(config: bell.ExperimentConfig) -> tuple[np.ndarray, np
     return np.abs(o1 @ np.diag(config.coefficients) @ o2) ** 2, o1**2 @ np.diag(weights) @ o2**2
 
 
+def reorder(state: StateVector, new_labels) -> StateVector:
+    """The single ``state`` expressed on a permuted registry order."""
+    _single("reorder", state)
+    new_labels = _as_label_tuple(new_labels)
+    if sorted(new_labels) != sorted(state.space.labels):
+        raise UnknownLabel(f"{new_labels} is not a permutation of {state.space.labels}")
+    tensor = _grouped(state, new_labels)
+    return StateVector(SpaceRegistry(zip(new_labels, tensor.shape[1:])), tensor.reshape(-1))
+
+
 def experiment_start_by_products(config: bell.ExperimentConfig) -> StateVector:
     """The pair state times both ready pointers, reordered to the experiment space."""
     pair = bell.entangled_pair_state(config)
     start = tensor_product(pair, bell.pointer_ready_state(bell.M1), bell.pointer_ready_state(bell.M2))
-    return start.reorder(bell.experiment_space().labels)
+    return reorder(start, bell.experiment_space().labels)
 
 
 def ancilla_start_by_products(evolved: StateVector) -> StateVector:

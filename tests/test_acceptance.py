@@ -21,6 +21,7 @@ from qrs_sim import (
     eig_hermitian,
     joint_distribution,
     joint_probability,
+    partial_trace,
     state_of,
     tensor_product,
 )
@@ -98,6 +99,13 @@ def grid_chsh(correlators):
     return e[:, None, :, None] - e[:, None, None, :] + e[None, :, :, None] + e[None, :, None, :]
 
 
+def remote_drift(state, side1, side2) -> float:
+    """Einstein separability over the grid: how far the reduced state of
+    ``side1`` moves with theta2, and that of ``side2`` with theta1."""
+    rho1, rho2 = (partial_trace(state, side).matrix.reshape(len(GRID), len(GRID), -1) for side in (side1, side2))
+    return max(float(np.max(np.abs(rho1 - rho1[:, :1]))), float(np.max(np.abs(rho2 - rho2[:1]))))
+
+
 def test_criterion_3_route_equivalence():
     with criterion(3, "route equivalence"):
         rng = np.random.default_rng(37)
@@ -115,13 +123,17 @@ def test_criterion_4_marginal_locality():
     with criterion(4, "marginal locality"):
         rng = np.random.default_rng(44)
         coefficients = [random_coefficients(rng) for _ in range(20)]
-        worst = 0.0
+        worst = worst_relative = 0.0
         for a, b in coefficients:
             config = ExperimentConfig(a=a, b=b, theta1=THETA1, theta2=THETA2)
+            state = evolve_experiment(config)
             # (theta1, theta2, outcome); each row must equal its first entry
-            marginal = device_marginal(evolve_experiment(config), 1).reshape(len(GRID), len(GRID), 2)
+            marginal = device_marginal(state, 1).reshape(len(GRID), len(GRID), 2)
             worst = max(worst, float(np.max(np.abs(marginal - marginal[:, :1]))))
+            # the whole relative state of each side, phases included
+            worst_relative = max(worst_relative, remote_drift(state, ("P1", "M1"), ("P2", "M2")))
         assert worst <= 1e-12, f"worst marginal drift {worst:.3e}"
+        assert worst_relative <= 1e-12, f"worst drift of a side's particle+device state {worst_relative:.3e}"
 
 
 def test_criterion_5_chsh():
@@ -181,18 +193,25 @@ def test_criterion_6_ancilla_collapse():
         # over every quadruple (alpha, alpha', beta, beta') of grid angles
         rng = np.random.default_rng(37)
         pairs = [random_coefficients(rng) for _ in range(20)] + [(ExperimentConfig().a, ExperimentConfig().b)]
-        worst_four_way = worst_device = worst_s = 0.0
+        worst_four_way = worst_device = worst_s = worst_tsirelson = worst_relative = 0.0
         for a, b in pairs:
             config = ExperimentConfig(a=a, b=b, theta1=THETA1, theta2=THETA2)
             state = ancilla_experiment(config)
+            # one side's recording leaves the other side's relative state alone
+            worst_relative = max(worst_relative, remote_drift(state, ("P1", "M1", "A1"), ("P2", "M2", "A2")))
             four_way, device = pointer_tables(state, ("A1", "A2", "M1", "M2"), ("M1", "M2"))
             worst_four_way = max(worst_four_way, float(np.max(np.abs(four_way.probabilities - intuitive_joint(config)))))
             factorized = correlation_factorized(config).probabilities
             worst_device = max(worst_device, float(np.max(np.abs(device.probabilities - factorized))))
             worst_s = max(worst_s, float(np.max(np.abs(grid_chsh(correlator(device))))))
+            interference = grid_chsh(correlator(correlation_entangled(config)))
+            worst_tsirelson = max(worst_tsirelson, float(np.max(np.abs(interference))))
         assert worst_four_way <= 1e-12, f"worst four-way residual {worst_four_way:.3e}"
         assert worst_device <= 1e-12, f"worst device-table residual {worst_device:.3e}"
         assert worst_s <= 2.0 + 1e-9, f"ancilla device table reaches |S| = {worst_s!r}"
+        assert worst_relative <= 1e-12, f"worst drift of a side's particle+device+ancilla state {worst_relative:.3e}"
+        # Tsirelson's bound on the interference route
+        assert worst_tsirelson <= 2.0 * math.sqrt(2.0) + 1e-9, f"interference route reaches |S| = {worst_tsirelson!r}"
         entangled = correlator(correlation_entangled(ExperimentConfig(theta1=THETA1, theta2=THETA2)))
         assert float(np.max(np.abs(grid_chsh(entangled)))) > 2.0
 

@@ -10,6 +10,8 @@ from qrs_sim import (
     NonDisjointSystems,
     NotNormalized,
     ReferenceSystem,
+    bell,
+    cli,
     joint_probability,
     partial_trace,
 )
@@ -31,12 +33,13 @@ from qrs_sim.bell import (
     evolve_experiment,
     intuitive_joint,
     measurement_unitary,
+    outcome_overlaps,
     pointer_tables,
     spin_eigenstates,
 )
-from qrs_sim.linalg import SpaceRegistry, StateVector
+from qrs_sim.linalg import Operator, SpaceRegistry, StateVector
 
-from oracles import embed_operator
+from oracles import ancilla_chi_by_einsum, embed_operator
 
 ROOT_HALF = 2**-0.5
 
@@ -714,3 +717,52 @@ class TestBatchedSettings:
         finally:
             tracemalloc.stop()
         assert peak <= 29.6e6
+
+
+#: the ``cli.build_spec`` values of one run per scenario that evaluates a config
+DERIVING_RUNS = {
+    "chsh-scan": {"scenario": "chsh-scan", "grid": "0,3.14,25"},
+    "bell-ancilla": {"scenario": "bell-ancilla", "theta1": "0.4", "theta2": "-1.3"},
+    "bell": {"scenario": "bell"},
+}
+
+
+class TestDerivedRows:
+    """Each side's spin rows depend on that side's angles alone, so a
+    config derives them once and every route reads them from there."""
+
+    @pytest.mark.parametrize("scenario", DERIVING_RUNS)
+    def test_each_side_is_derived_once_per_run(self, monkeypatch, scenario):
+        # re-derived by every route from the angles, a chsh-scan run took
+        # 6 derivations, a bell-ancilla run 12 and a bell run 6
+        calls, spin_rows = [], bell._spin_rows
+        monkeypatch.setattr(bell, "_spin_rows", lambda theta: calls.append(theta) or spin_rows(theta))
+        cli.run(cli.build_spec(dict(DERIVING_RUNS[scenario])))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "thetas",
+        [(0.7, -2.2), ((0.7, 1.9, -3.1), (-2.2, 0.4, 5.0)), ((0.7, 1.9, -3.1), -2.2), (0.7, (-2.2, 0.4, 5.0))],
+        ids=["floats", "tuples", "tuple-float", "float-tuple"],
+    )
+    def test_derived_rows_match_the_per_theta_functions(self, monkeypatch, thetas):
+        config = ExperimentConfig(0.6, 0.8j, *thetas)
+        couplings, apply = [], Operator.apply
+        monkeypatch.setattr(Operator, "apply", lambda op, state: couplings.append(op) or apply(op, state))
+        evolve_experiment(config)
+        for side, theta, rows, coupling in zip((1, 2), thetas, config._rows, couplings):
+            particle, pointer, _ = bell._SIDE_LABELS[side]
+            one, two = spin_eigenstates(theta, particle)
+            assert same_bytes(rows.astype(complex), np.stack([one.amplitudes, two.amplitudes], axis=-2))
+            overlaps = bell._overlaps(rows, side)
+            assert same_bytes(overlaps, outcome_overlaps(theta, side)) and np.shares_memory(overlaps, rows)
+            assert same_bytes(coupling.matrix, measurement_unitary(theta, particle, pointer).matrix)
+            # a float side's chi broadcasts over the other side's batch
+            assert same_bytes(bell._ancilla_chi(config, side), ancilla_chi_by_einsum(config, side))
+
+    def test_derived_rows_leave_equality_and_hash(self):
+        derived, fresh = (ExperimentConfig(0.6, 0.8, (0.1, 0.2), 0.3) for _ in range(2))
+        correlation_factorized(derived)
+        assert "_rows" in vars(derived) and "_rows" not in vars(fresh)
+        assert derived == fresh and hash(derived) == hash(fresh) and repr(derived) == repr(fresh)
+        assert derived != ExperimentConfig(0.6, 0.8, (0.1, 0.2), 0.4)
