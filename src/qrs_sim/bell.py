@@ -128,9 +128,14 @@ class ExperimentConfig:
         return next((len(t) for t in (self.theta1, self.theta2) if isinstance(t, tuple)), None)
 
     @cached_property
+    def _sides(self) -> tuple[_AngleWork, _AngleWork]:
+        """Each side's angle cache entry, looked up on first use; not a field."""
+        return _work(self.theta1), _work(self.theta2)
+
+    @property
     def _rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """``_spin_rows`` of theta1 and of theta2, held on the instance, not a field."""
-        return _spin_rows(self.theta1), _spin_rows(self.theta2)
+        """Each side's read-only spin rows."""
+        return self._sides[0].rows, self._sides[1].rows
 
     @cached_property
     def _weights(self) -> np.ndarray:
@@ -167,7 +172,7 @@ def spin_eigenstates(theta, label: str = "P") -> tuple[StateVector, StateVector]
         xi_1 =  cos(theta/2) |up> + sin(theta/2) |down>
         xi_2 = -sin(theta/2) |up> + cos(theta/2) |down>
     """
-    xi = _spin_rows(theta)
+    xi = _work(theta).rows
     space = particle_space(label)
     return StateVector(space, xi[..., 0, :]), StateVector(space, xi[..., 1, :])
 
@@ -175,7 +180,7 @@ def spin_eigenstates(theta, label: str = "P") -> tuple[StateVector, StateVector]
 def outcome_overlaps(theta, which: int) -> np.ndarray:
     """Real 2x2 matrix O with O[j-1, l-1] = <xi_j(theta) | phi_{which,l}>;
     a (B, 2, 2) stack for a batch of angles."""
-    return _overlaps(_spin_rows(theta), _side(which))
+    return _overlaps(_work(theta).rows, _side(which))
 
 
 def _overlaps(rows: np.ndarray, which: int) -> np.ndarray:
@@ -206,17 +211,44 @@ def _controlled_swap(amps: np.ndarray, complete: bool = False) -> np.ndarray:
     return total.reshape(*lead, dim * POINTER_DIM, dim * POINTER_DIM)
 
 
+class _AngleWork:
+    """An entry of the angle cache: one side's read-only spin ``rows`` and,
+    once ``measurement_unitary`` builds it, its real coupling array ``swap``."""
+
+    rows = swap = None
+
+
+@lru_cache(maxsize=4)
+def _angle_work(key: tuple[bytes, tuple[int, ...]]) -> _AngleWork:
+    """The angle cache, keyed on the bytes and shape of a side's float angles,
+    so -0.0 and 0.0, or 0.3 and (0.3,), differ.  A side's coupling depends on
+    its own angles alone, so one entry serves every config and call at them."""
+    return _AngleWork()
+
+
+def _work(theta) -> _AngleWork:
+    """The angle cache's entry of ``theta`` (an entry passes through), its
+    rows derived from ``theta`` itself on a miss."""
+    if isinstance(theta, _AngleWork):
+        return theta
+    angles = np.asarray(theta, dtype=float)
+    work = _angle_work((angles.tobytes(), angles.shape))
+    if work.rows is None:
+        work.rows = _spin_rows(angles)
+        work.rows.setflags(write=False)
+    return work
+
+
 def measurement_unitary(theta, particle: str, pointer: str) -> Operator:
     """Unitary on particle + pointer implementing the measurement coupling
     |xi_j>|ready> -> |xi_j>|outcome_j>, completed by the controlled pointer
     swap ready <-> outcome_j conditioned on xi_j (identity on the remaining
     pointer state); a batch of unitaries for a batch of angles."""
-    return _coupling(_spin_rows(theta), particle, pointer)
-
-
-def _coupling(rows: np.ndarray, particle: str, pointer: str) -> Operator:
-    """``measurement_unitary`` of the spin rows ``rows``."""
-    return Operator(_space((particle, SPIN_DIM), (pointer, POINTER_DIM)), _controlled_swap(rows))
+    work = _work(theta)
+    if work.swap is None:
+        work.swap = _controlled_swap(work.rows)
+        work.swap.setflags(write=False)
+    return Operator(_space((particle, SPIN_DIM), (pointer, POINTER_DIM)), work.swap)
 
 
 def experiment_space() -> SpaceRegistry:
@@ -235,9 +267,9 @@ def evolve_experiment(config: ExperimentConfig) -> StateVector:
     its own particle and pointer axes (a batch for a batched config)."""
     start = np.zeros(experiment_space().dims, dtype=complex)
     start[PAIR_BASIS[1], READY, PAIR_BASIS[2], READY] = config.coefficients
-    rows1, rows2 = config._rows
-    moved = _coupling(rows1, P1, M1).apply(StateVector(experiment_space(), start.reshape(-1)))
-    return _coupling(rows2, P2, M2).apply(moved)
+    side1, side2 = config._sides
+    moved = measurement_unitary(side1, P1, M1).apply(StateVector(experiment_space(), start.reshape(-1)))
+    return measurement_unitary(side2, P2, M2).apply(moved)
 
 
 def device_marginal(final_state: StateVector, which: int) -> np.ndarray:

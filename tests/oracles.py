@@ -21,6 +21,9 @@ closed forms and the start states multiplied out by ``tensor_product`` and
 must match them byte for byte; a placed start matches by value only, since
 the products sign some zeros differently.
 
+The angle cache is checked against the coupling array derived afresh from
+the angles on every call, as ``measurement_unitary`` built it before.
+
 The decision rules keep the routes a bound-first screen replaced: the
 density-operator rules with one ``eigvalsh`` over the whole stack, and the
 probability-table rules walked one by one on every table.  The package
@@ -274,6 +277,12 @@ def controlled_swap_by_einsum(amps: np.ndarray, complete: bool = False) -> np.nd
         slots.append(bell.READY)
     total = np.einsum("...lab,lcd->...acbd", blocks, bell._SLOT_SWAPS[slots])
     return total.reshape(*amps.shape[:-2], dim * bell.POINTER_DIM, dim * bell.POINTER_DIM)
+
+
+def measurement_swap_uncached(theta) -> np.ndarray:
+    """The real array of ``bell.measurement_unitary(theta, ...)``, derived
+    afresh from ``theta``, with no cache between."""
+    return bell._controlled_swap(bell._spin_rows(theta))
 
 
 def ancilla_chi_by_einsum(config: bell.ExperimentConfig, which: int) -> np.ndarray:

@@ -39,7 +39,7 @@ from qrs_sim.bell import (
 )
 from qrs_sim.linalg import Operator, SpaceRegistry, StateVector
 
-from oracles import ancilla_chi_by_einsum, embed_operator
+from oracles import ancilla_chi_by_einsum, embed_operator, measurement_swap_uncached
 
 ROOT_HALF = 2**-0.5
 
@@ -734,11 +734,23 @@ class TestDerivedRows:
     @pytest.mark.parametrize("scenario", DERIVING_RUNS)
     def test_each_side_is_derived_once_per_run(self, monkeypatch, scenario):
         # re-derived by every route from the angles, a chsh-scan run took
-        # 6 derivations, a bell-ancilla run 12 and a bell run 6
+        # 6 derivations, a bell-ancilla run 12 and a bell run 6; the angle
+        # cache serves an identical second run without any
         calls, spin_rows = [], bell._spin_rows
         monkeypatch.setattr(bell, "_spin_rows", lambda theta: calls.append(theta) or spin_rows(theta))
+        bell._angle_work.cache_clear()
         cli.run(cli.build_spec(dict(DERIVING_RUNS[scenario])))
         assert len(calls) == 2
+        cli.run(cli.build_spec(dict(DERIVING_RUNS[scenario])))
+        assert len(calls) == 2
+
+    def test_intro_derives_its_side_once(self, monkeypatch):
+        # measurement_unitary and spin_eigenstates each derived theta1's rows
+        calls, spin_rows = [], bell._spin_rows
+        monkeypatch.setattr(bell, "_spin_rows", lambda theta: calls.append(theta) or spin_rows(theta))
+        bell._angle_work.cache_clear()
+        cli.run(cli.build_spec({"scenario": "intro-measurement", "theta1": "0.9"}))
+        assert len(calls) == 1
 
     @pytest.mark.parametrize(
         "thetas",
@@ -763,6 +775,55 @@ class TestDerivedRows:
     def test_derived_rows_leave_equality_and_hash(self):
         derived, fresh = (ExperimentConfig(0.6, 0.8, (0.1, 0.2), 0.3) for _ in range(2))
         correlation_factorized(derived)
-        assert "_rows" in vars(derived) and "_rows" not in vars(fresh)
+        assert "_sides" in vars(derived) and "_sides" not in vars(fresh)
         assert derived == fresh and hash(derived) == hash(fresh) and repr(derived) == repr(fresh)
         assert derived != ExperimentConfig(0.6, 0.8, (0.1, 0.2), 0.4)
+
+
+class TestAngleCache:
+    """Each side's coupling depends on that side's angles alone, so one
+    bounded cache keyed on those angles serves every config and call that
+    measures at them."""
+
+    @pytest.mark.parametrize(
+        "theta", [0.0, -0.0, 0.3, (0.3,), (0.0, -0.0, 2.5), np.linspace(-7.0, 7.0, 12)], ids=str
+    )
+    def test_outputs_match_the_uncached_oracle(self, theta):
+        bell._angle_work.cache_clear()
+        swap, rows = measurement_swap_uncached(theta), bell._spin_rows(theta)
+        for _ in range(2):  # the miss, then the hit
+            assert same_bytes(measurement_unitary(theta, "P", "M").matrix, Operator(SpaceRegistry([("P", 2), ("M", 3)]), swap).matrix)
+            one, two = spin_eigenstates(theta)
+            assert same_bytes(np.stack([one.amplitudes, two.amplitudes], axis=-2), rows.astype(complex))
+            assert same_bytes(outcome_overlaps(theta, 2), rows[..., ::-1])
+        assert bell._angle_work.cache_info()[:2] == (5, 1)
+
+    @pytest.mark.parametrize("pair", [(0.0, -0.0), (0.3, (0.3,))], ids=["signed-zero", "float-tuple"])
+    def test_equal_valued_angles_of_other_bytes_or_shape_are_distinct_keys(self, pair):
+        bell._angle_work.cache_clear()
+        for theta in pair:
+            assert same_bytes(measurement_unitary(theta, "P", "M").matrix, measurement_unitary(theta, "P", "M").matrix)
+            assert same_bytes(outcome_overlaps(theta, 1), bell._spin_rows(theta))
+        info = bell._angle_work.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+
+    def test_cached_arrays_are_read_only(self):
+        config = ExperimentConfig(theta1=(0.1, 0.2), theta2=-0.4)
+        evolve_experiment(config)
+        entry = config._sides[0]
+        for array in (*config._rows, entry.rows, entry.swap, outcome_overlaps(0.1, 1)):
+            with pytest.raises(ValueError, match="read-only"):
+                array[..., 0, 0] = 1.0
+        assert same_bytes(entry.swap, measurement_swap_uncached((0.1, 0.2)))
+
+    def test_repeated_scans_hit_and_the_cache_stays_bounded(self):
+        bell._angle_work.cache_clear()
+        scan = cli.build_spec({"scenario": "chsh-scan", "grid": "0,3.14,25"})
+        cli.run(scan)
+        cold = bell._angle_work.cache_info()
+        cli.run(scan)
+        warm = bell._angle_work.cache_info()
+        assert warm.hits > cold.hits and warm.misses == cold.misses == 2
+        for stop in range(10):
+            cli.run(cli.build_spec({"scenario": "chsh-scan", "grid": f"0,{1 + stop / 2},25"}))
+            assert bell._angle_work.cache_info().currsize <= bell._angle_work.cache_info().maxsize

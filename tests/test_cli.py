@@ -584,6 +584,28 @@ def test_cap_stays_within_its_memory_budget(flags, warm_up, budget):
     assert peak <= budget
 
 
+#: the README's budget of the angle cache at the grid cap: its 4 entries of
+#: 328 B per setting at 4 MAX_GRID_STEPS settings a side (5,248,000 B of
+#: arrays) rounded up to 0.1 MB
+ANGLE_CACHE_BUDGET = 5.3e6
+
+
+def test_angle_cache_stays_within_its_budget():
+    # two capped scans on different quadruples fill every entry; the bytes
+    # still allocated from bell.py afterwards are what the cache holds
+    assert quiet_main(["run", "--scenario=chsh-scan", "--grid=0,3.14,2"]) == 0
+    bell._angle_work.cache_clear()
+    tracemalloc.start()
+    try:
+        for angles in ("0,1.6,0.8,2.4", "0.1,1.7,0.9,2.5"):
+            assert quiet_main(["run", "--scenario=chsh-scan", f"--angles={angles}", f"--grid=0,3.14,{MAX_GRID_STEPS}"]) == 0
+        held = tracemalloc.take_snapshot().filter_traces([tracemalloc.Filter(True, bell.__file__)])
+    finally:
+        tracemalloc.stop()
+    assert bell._angle_work.cache_info().currsize == bell._angle_work.cache_info().maxsize
+    assert 4 * MAX_GRID_STEPS * 328 * bell._angle_work.cache_info().maxsize <= sum(t.size for t in held.traces) <= ANGLE_CACHE_BUDGET
+
+
 def test_import_fills_no_cache():
     # every cached builder fills on first use, so importing the package,
     # as a benchmark's setup does, builds nothing
@@ -595,7 +617,7 @@ def test_import_fills_no_cache():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     caches = json.loads(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout)
-    assert {"qrs_sim.bell._space", "qrs_sim.bell.pointer_ready_state", "qrs_sim.cli._build_parser"} <= caches.keys()
+    assert {"qrs_sim.bell._space", "qrs_sim.bell._angle_work", "qrs_sim.bell.pointer_ready_state", "qrs_sim.cli._build_parser"} <= caches.keys()
     assert caches == dict.fromkeys(caches, 0)
 
 
