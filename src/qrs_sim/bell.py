@@ -87,6 +87,13 @@ class ExperimentConfig:
     (a non-empty 1-D sequence, stored as a tuple), batches of equal length,
     a float pairing with every member.  Defaults give the maximally
     entangled pair at (0, pi/2).
+
+    The coefficient rule (``_check_coefficients``, which the command line
+    shares) runs on every config.  Each side's angles are looked up in the
+    angle cache by their bytes and shape as the config is built; the shape
+    and finiteness rules run only while that entry is not yet marked as
+    checked, and always before any cos or sin of the angles.  The rows are
+    derived from the config's own angle array on first use.
     """
 
     a: complex = ROOT_HALF
@@ -95,27 +102,26 @@ class ExperimentConfig:
     theta2: float | tuple[float, ...] = math.pi / 2
 
     def __post_init__(self):
-        try:
-            total = abs(self.a) ** 2 + abs(self.b) ** 2
-        except OverflowError:
-            raise NotNormalized(
-                f"|a|^2 + |b|^2 overflows for a = {self.a!r}, b = {self.b!r}; it must be 1 within {COEFF_TOL}"
-            ) from None
-        if not abs(total - 1.0) <= COEFF_TOL - COEFF_MARGIN:
-            margin = f" less a rounding margin of {COEFF_MARGIN:.3g}" if abs(total - 1.0) <= COEFF_TOL else ""
-            raise NotNormalized(f"|a|^2 + |b|^2 = {total!r} must be 1 within {COEFF_TOL}{margin}")
+        _check_coefficients(self.a, self.b)
+        lookups = []
         for name in ("theta1", "theta2"):
             value = getattr(self, name)
             try:
                 angles = np.array(value, dtype=float)
             except (TypeError, ValueError):
                 raise ValueError(f"{name} must be a float or a 1-D sequence of floats, got {value!r}") from None
-            if angles.ndim > 1 or not angles.size:
-                raise ValueError(f"{name} must be a float or a non-empty 1-D sequence, got shape {angles.shape}")
-            _check(np.isfinite(angles), ValueError, lambda i: f"{name} = {float(angles[i])!r} is not finite")
+            work = _angle_work((angles.tobytes(), angles.shape))
+            # the rules run once per entry, and before any cos or sin of these angles
+            if not work.checked:
+                if angles.ndim > 1 or not angles.size:
+                    raise ValueError(f"{name} must be a float or a non-empty 1-D sequence, got shape {angles.shape}")
+                _check(np.isfinite(angles), ValueError, lambda i: f"{name} = {float(angles[i])!r} is not finite")
+                work.checked = True
             object.__setattr__(self, name, tuple(angles.tolist()) if angles.ndim else float(angles))
+            lookups.append((work, angles))
         if len({len(t) for t in (self.theta1, self.theta2) if isinstance(t, tuple)}) > 1:
             raise ValueError(f"theta1 and theta2 batches differ in length ({len(self.theta1)}, {len(self.theta2)})")
+        object.__setattr__(self, "_lookups", lookups)
 
     @property
     def coefficients(self) -> tuple[complex, complex]:
@@ -129,8 +135,9 @@ class ExperimentConfig:
 
     @cached_property
     def _sides(self) -> tuple[_AngleWork, _AngleWork]:
-        """Each side's angle cache entry, looked up on first use; not a field."""
-        return _work(self.theta1), _work(self.theta2)
+        """Each side's angle cache entry, its rows derived from the config's
+        own angles on first use; not a field."""
+        return tuple(_derived(work, angles) for work, angles in self._lookups)
 
     @property
     def _rows(self) -> tuple[np.ndarray, np.ndarray]:
@@ -141,6 +148,17 @@ class ExperimentConfig:
     def _weights(self) -> np.ndarray:
         """|c_1|^2, |c_2|^2."""
         return np.abs(np.array(self.coefficients)) ** 2
+
+
+def _check_coefficients(a: complex, b: complex) -> None:
+    """The coefficient rule of every config and of the command line."""
+    try:
+        total = abs(a) ** 2 + abs(b) ** 2
+    except OverflowError:
+        raise NotNormalized(f"|a|^2 + |b|^2 overflows for a = {a!r}, b = {b!r}; it must be 1 within {COEFF_TOL}") from None
+    if not abs(total - 1.0) <= COEFF_TOL - COEFF_MARGIN:
+        margin = f" less a rounding margin of {COEFF_MARGIN:.3g}" if abs(total - 1.0) <= COEFF_TOL else ""
+        raise NotNormalized(f"|a|^2 + |b|^2 = {total!r} must be 1 within {COEFF_TOL}{margin}")
 
 
 def _side(which: int) -> int:
@@ -212,10 +230,12 @@ def _controlled_swap(amps: np.ndarray, complete: bool = False) -> np.ndarray:
 
 
 class _AngleWork:
-    """An entry of the angle cache: one side's read-only spin ``rows`` and,
-    once ``measurement_unitary`` builds it, its real coupling array ``swap``."""
+    """An entry of the angle cache: one side's read-only spin ``rows``,
+    once ``measurement_unitary`` builds it, its real coupling array ``swap``,
+    and whether a config has found the angles meet its rules."""
 
     rows = swap = None
+    checked = False
 
 
 @lru_cache(maxsize=4)
@@ -227,12 +247,15 @@ def _angle_work(key: tuple[bytes, tuple[int, ...]]) -> _AngleWork:
 
 
 def _work(theta) -> _AngleWork:
-    """The angle cache's entry of ``theta`` (an entry passes through), its
-    rows derived from ``theta`` itself on a miss."""
+    """The angle cache's entry of ``theta`` (an entry passes through), with its rows."""
     if isinstance(theta, _AngleWork):
         return theta
     angles = np.asarray(theta, dtype=float)
-    work = _angle_work((angles.tobytes(), angles.shape))
+    return _derived(_angle_work((angles.tobytes(), angles.shape)), angles)
+
+
+def _derived(work: _AngleWork, angles: np.ndarray) -> _AngleWork:
+    """``work``, its rows derived from ``angles``, its key's angles, on a first use."""
     if work.rows is None:
         work.rows = _spin_rows(angles)
         work.rows.setflags(write=False)
@@ -322,8 +345,13 @@ def pointer_tables(state: StateVector, *groups) -> list[JointDistribution]:
 
 
 def particle_candidate_states(which: int) -> tuple[StateVector, StateVector]:
-    """The analytic pair-basis states phi_{which,1}, phi_{which,2}."""
-    space = particle_space(_SIDE_LABELS[_side(which)][0])
+    """The analytic pair-basis states phi_{which,1}, phi_{which,2}, built once per side."""
+    return _pair_basis(_side(which))
+
+
+@lru_cache(maxsize=None)
+def _pair_basis(which: int) -> tuple[StateVector, StateVector]:
+    space = particle_space(_SIDE_LABELS[which][0])
     i1, i2 = PAIR_BASIS[which]
     return basis_state(space, i1), basis_state(space, i2)
 
@@ -431,8 +459,13 @@ def correlator(table: JointDistribution) -> float | np.ndarray:
     if [count for _, count in table.axes] != [2, 2]:
         raise ValueError(f"a correlator takes two axes of two outcomes each, got axes {table.axes}")
     p = table.probabilities
-    e = p[..., 0, 0] - p[..., 0, 1] - p[..., 1, 0] + p[..., 1, 1]
+    e = _expectation(p)
     return float(e) if p.ndim == 2 else e
+
+
+def _expectation(p: np.ndarray) -> np.ndarray:
+    """sum_{jk} (-1)^{j+k} p[..., j, k] over the last two axes."""
+    return p[..., 0, 0] - p[..., 0, 1] - p[..., 1, 0] + p[..., 1, 1]
 
 
 _TABLE_ROUTES = {
@@ -442,8 +475,8 @@ _TABLE_ROUTES = {
 }
 
 
-def _chsh_settings(angles, a: complex, b: complex) -> tuple[ExperimentConfig, bool]:
-    """The 4 B settings of a CHSH quadruple as one batched config, in the
+def _chsh_angles(angles) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Each side's angles over the 4 B settings of a CHSH quadruple, in the
     order (alpha, beta), (alpha, beta'), (alpha', beta), (alpha', beta'),
     and whether every angle was a scalar."""
     alpha, alpha_p, beta, beta_p = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in angles))
@@ -451,14 +484,15 @@ def _chsh_settings(angles, a: complex, b: complex) -> tuple[ExperimentConfig, bo
         raise ValueError(f"CHSH angles must be floats or 1-D arrays, got shape {alpha.shape}")
     theta1 = np.concatenate([alpha, alpha, alpha_p, alpha_p], axis=None)
     theta2 = np.concatenate([beta, beta_p, beta, beta_p], axis=None)
-    return ExperimentConfig(a, b, theta1, theta2), alpha.ndim == 0
+    return theta1, theta2, alpha.ndim == 0
 
 
-def _chsh_value(table: JointDistribution, scalar: bool) -> float | np.ndarray:
-    """S of a route's table over the settings of ``_chsh_settings``."""
-    e = np.reshape(correlator(table), (4, -1))
-    s = e[0] - e[1] + e[2] + e[3]
-    return float(s[0]) if scalar else s
+def _chsh_value(tables: list[JointDistribution], scalar: bool) -> list:
+    """S of each route's table over the settings of ``_chsh_angles``, in
+    one elementwise pass over the tables' stacked probabilities."""
+    e = _expectation(np.array([table.probabilities for table in tables])).reshape(len(tables), 4, -1)
+    s = e[:, 0] - e[:, 1] + e[:, 2] + e[:, 3]
+    return s[:, 0].tolist() if scalar else list(s)
 
 
 def chsh(kind: str, angles, a: complex = ROOT_HALF, b: complex = ROOT_HALF) -> float | np.ndarray:
@@ -467,8 +501,9 @@ def chsh(kind: str, angles, a: complex = ROOT_HALF, b: complex = ROOT_HALF) -> f
     Each angle may be a float or an equal-length 1-D array of B values; all
     4 B settings form one config and take one route call, and S is a float
     for scalar angles, else an array.  It is ``_chsh_value`` of the route's
-    table on ``_chsh_settings``, so several routes can share one config."""
+    table on the config of ``_chsh_angles``, so several routes can share
+    one config and one pass."""
     if kind not in _TABLE_ROUTES:
         raise ValueError(f"kind must be one of {sorted(_TABLE_ROUTES)}, got {kind!r}")
-    config, scalar = _chsh_settings(angles, a, b)
-    return _chsh_value(_TABLE_ROUTES[kind](config), scalar)
+    theta1, theta2, scalar = _chsh_angles(angles)
+    return _chsh_value([_TABLE_ROUTES[kind](ExperimentConfig(a, b, theta1, theta2))], scalar)[0]

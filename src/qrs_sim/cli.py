@@ -10,7 +10,7 @@ errors.
 Every option is stated once, in :data:`OPTIONS`: its config-file key, its
 flag (``--key``, matched by the full name only), its parser and its help
 text.  ``--config`` names a file of such keys; flags override it.  The
-coefficient check is :class:`bell.ExperimentConfig`'s own.
+coefficient rule is :class:`bell.ExperimentConfig`'s own.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class ScenarioSpec:
 
     @functools.cached_property
     def config(self) -> bell.ExperimentConfig:
-        """The single-setting experiment, built (and so validated) once."""
+        """The single-setting experiment, built on first use, once."""
         return bell.ExperimentConfig(a=self.a, b=self.b, theta1=self.theta1, theta2=self.theta2)
 
 
@@ -226,12 +226,12 @@ def load_config_file(path: str) -> dict[str, str]:
 
 def build_spec(values: dict[str, str]) -> ScenarioSpec:
     """Validate merged file/flag values into a :class:`ScenarioSpec`: each
-    key by its parser in ``OPTIONS``, then the coefficients (by
-    :class:`bell.ExperimentConfig`), then the rules across keys."""
+    key by its parser in ``OPTIONS``, then the coefficients (by the rule
+    of :class:`bell.ExperimentConfig`), then the rules across keys."""
     if not values.get("scenario"):
         raise ConfigError("--scenario: missing (required field)")
     spec = ScenarioSpec(**{key: parse(values[key], key) for key, (parse, _) in OPTIONS.items() if key in values})
-    spec.config  # validates the coefficients
+    bell._check_coefficients(spec.a, spec.b)
 
     if spec.scenario != "chsh-scan":
         if spec.grid is not None:
@@ -419,14 +419,25 @@ def _run_ancilla(spec: ScenarioSpec) -> RunReport:
     return report
 
 
+@functools.lru_cache(maxsize=4)
+def _scan_angles(bits: str, angles, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A scan's grid points and each side's angles over its settings, all
+    read-only; ``bits``, the repr of ``(angles, grid)``, keeps a -0.0 grid
+    apart from the 0.0 one that equals it."""
+    alpha, alpha_p, beta, beta_p = angles if angles else DEFAULT_QUADRUPLE
+    points = np.linspace(*grid) if grid else np.array([beta])
+    arrays = (points, *bell._chsh_angles((alpha, alpha_p, points, points + (beta_p - beta)))[:2])
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
 def _run_chsh_scan(spec: ScenarioSpec) -> RunReport:
-    alpha, alpha_p, beta, beta_p = spec.angles if spec.angles else DEFAULT_QUADRUPLE
-    points = np.linspace(*spec.grid) if spec.grid else np.array([beta])
-    # the whole grid is one settings batch, built once; each route takes it in one call
-    config, _ = bell._chsh_settings((alpha, alpha_p, points, points + (beta_p - beta)), spec.a, spec.b)
-    s_ent = bell._chsh_value(bell.correlation_entangled(config), False)
-    s_fac = bell._chsh_value(bell.correlation_factorized(config), False)
-    s_direct = bell._chsh_value(bell.correlation_direct(config), False)
+    # the whole grid is one settings batch, its angles built once per grid;
+    # each route takes it in one call, and S is taken for all three in one pass
+    points, theta1, theta2 = _scan_angles(repr((spec.angles, spec.grid)), spec.angles, spec.grid)
+    config = bell.ExperimentConfig(spec.a, spec.b, theta1, theta2)
+    s_ent, s_fac, s_direct = bell._chsh_value([route(config) for route in bell._TABLE_ROUTES.values()], False)
 
     report = RunReport(spec=spec)
     report.tables.append(ReportTable("scan_angle", points.astype(float), ("point",)))

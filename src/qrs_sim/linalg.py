@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -84,6 +85,13 @@ def _front(space: "SpaceRegistry", labels) -> list[int]:
     ``labels`` first, in the order given, and the rest in registry order."""
     axes = [1 + space.axis(label) for label in labels]
     return [0] + axes + [i for i in range(1, len(space.dims) + 1) if i not in axes]
+
+
+@lru_cache(maxsize=64)
+def _moves(space: "SpaceRegistry", labels: tuple[str, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``_front`` of ``labels`` on ``space`` and its inverse, built once per pair."""
+    perm = _front(space, labels)
+    return tuple(perm), tuple(np.argsort(perm).tolist())
 
 
 def _grouped(state: "StateVector", labels) -> np.ndarray:
@@ -243,7 +251,7 @@ class Operator:
                 raise ValueError(f"dimension mismatch for label {label!r}")
         if None not in (self.batch, state.batch) and self.batch != state.batch:
             raise ValueError(f"operator batch of {self.batch} does not match state batch of {state.batch}")
-        perm = _front(space, self.space.labels)
+        perm, back = _moves(space, self.space.labels)
         tensor = state.amplitudes.reshape(-1, *space.dims).transpose(perm)
         with np.errstate(over="ignore", invalid="ignore"):  # StateVector refuses what is not finite
             if state.batch is None:
@@ -251,7 +259,7 @@ class Operator:
             else:
                 moved = self.matrix @ tensor.reshape(len(tensor), d, -1)
         # the transpose back is the one copy of the result, and the state owns it
-        out = moved.reshape(-1, *tensor.shape[1:]).transpose(np.argsort(perm))
+        out = moved.reshape(-1, *tensor.shape[1:]).transpose(back)
         shape = (-1, space.dim) if self.batch or state.batch else (space.dim,)
         return StateVector.__new__(StateVector)._own(space, out.reshape(shape))
 

@@ -23,6 +23,7 @@ per cell into empirical frequencies (:meth:`JointDistribution.frequencies`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -253,8 +254,9 @@ def _check_supplied(systems: list[tuple[str, ...]], state: StateVector, kets: li
     All systems whose kets have one shape ``(d, n)`` share one pass on a
     leading system axis: their reduced states over all members come from
     one ``_pure_reduced`` stack and meet the density-operator rules in one
-    ``_density_rules`` call; each system's kets take their own Gram product
-    and meet that system's reduced state in every member in one product.
+    ``_density_rules`` call; the Gram verdict of their ket stack, which no
+    state changes, is taken once per stack (``_orthonormal``), and each
+    system's kets meet its reduced state in every member in one product.
     Only when some check fails are the systems walked in the order given,
     reading each one's row of those results: its density rules first, then
     orthogonality, then the eigenstate rule, to raise for the first fault,
@@ -266,13 +268,13 @@ def _check_supplied(systems: list[tuple[str, ...]], state: StateVector, kets: li
         group = [j for j, columns in enumerate(kets) if columns.shape == (d, n)]
         rho = _pure_reduced(state, [systems[j] for j in group], d).reshape(len(group), *lead, d, d)
         stack = np.array([kets[j] for j in group])
-        orthonormal = (np.abs(stack.conj().swapaxes(-1, -2) @ stack - np.eye(n)) <= EIGENSTATE_TOL).all(axis=(-2, -1))
+        orthonormal = _orthonormal(stack.tobytes(), stack.shape)
         images = (rho.reshape(len(group), -1, d) @ stack).reshape(*rho.shape[:-1], n)
         stack = stack.reshape(len(group), *(1,) * len(lead), d, n)
         weights = (stack.conj() * images).sum(axis=-2)
         eigen = np.linalg.norm(images - weights[..., None, :] * stack, axis=-2) <= EIGENSTATE_TOL
         density = _density_rules(rho)
-        passed &= all(ok.all() for ok, _, _ in density) and orthonormal.all() and eigen.all()
+        passed &= all(ok.all() for ok, _, _ in density) and all(orthonormal) and eigen.all()
         rows.update((j, (row, density, orthonormal, eigen)) for row, j in enumerate(group))
     if passed:
         return
@@ -285,6 +287,14 @@ def _check_supplied(systems: list[tuple[str, ...]], state: StateVector, kets: li
             raise ValueError(f"candidates for {name} are not orthogonal")
         ok = eigen[row]
         _check(ok.all(axis=-1), ValueError, lambda i: f"candidate {np.argmin(ok[i])} for {name} is not an eigenstate")
+
+
+@lru_cache(maxsize=16)
+def _orthonormal(bits: bytes, shape: tuple[int, ...]) -> tuple[bool, ...]:
+    """Whether each ``(d, n)`` ket stack of a ``(G, d, n)`` complex array, given
+    by its bytes and shape, is orthonormal within ``EIGENSTATE_TOL``."""
+    stack = np.frombuffer(bits, dtype=complex).reshape(shape)
+    return tuple((np.abs(stack.conj().swapaxes(-1, -2) @ stack - np.eye(shape[-1])) <= EIGENSTATE_TOL).all(axis=(-2, -1)).tolist())
 
 
 def joint_probability(

@@ -22,7 +22,10 @@ must match them byte for byte; a placed start matches by value only, since
 the products sign some zeros differently.
 
 The angle cache is checked against the coupling array derived afresh from
-the angles on every call, as ``measurement_unitary`` built it before.
+the angles on every call, as ``measurement_unitary`` built it before; the
+cached Gram verdict of supplied candidates against the Gram product taken
+afresh, as ``_check_supplied`` took it on every call; and the CHSH pass over
+several routes' stacked tables against one ``correlator`` per table.
 
 The decision rules keep the routes a bound-first screen replaced: the
 density-operator rules with one ``eigvalsh`` over the whole stack, and the
@@ -283,6 +286,21 @@ def measurement_swap_uncached(theta) -> np.ndarray:
     """The real array of ``bell.measurement_unitary(theta, ...)``, derived
     afresh from ``theta``, with no cache between."""
     return bell._controlled_swap(bell._spin_rows(theta))
+
+
+def orthonormal_uncached(stack: np.ndarray) -> tuple[bool, ...]:
+    """Whether each ``(d, n)`` ket stack of a ``(G, d, n)`` array is
+    orthonormal within ``EIGENSTATE_TOL``, from its Gram product."""
+    gram = stack.conj().swapaxes(-1, -2) @ stack
+    return tuple((np.abs(gram - np.eye(stack.shape[-1])) <= EIGENSTATE_TOL).all(axis=(-2, -1)).tolist())
+
+
+def chsh_value_by_correlator(table: JointDistribution, scalar: bool) -> float | np.ndarray:
+    """S of one route's table over the settings of ``bell._chsh_angles``,
+    from the ``correlator`` of that table."""
+    e = np.reshape(bell.correlator(table), (4, -1))
+    s = e[0] - e[1] + e[2] + e[3]
+    return float(s[0]) if scalar else s
 
 
 def ancilla_chi_by_einsum(config: bell.ExperimentConfig, which: int) -> np.ndarray:

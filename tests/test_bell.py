@@ -1,5 +1,8 @@
+import contextlib
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -34,12 +37,13 @@ from qrs_sim.bell import (
     intuitive_joint,
     measurement_unitary,
     outcome_overlaps,
+    particle_candidate_states,
     pointer_tables,
     spin_eigenstates,
 )
-from qrs_sim.linalg import Operator, SpaceRegistry, StateVector
+from qrs_sim.linalg import Operator, SpaceRegistry, StateVector, basis_state
 
-from oracles import ancilla_chi_by_einsum, embed_operator, measurement_swap_uncached
+from oracles import ancilla_chi_by_einsum, chsh_value_by_correlator, embed_operator, measurement_swap_uncached
 
 ROOT_HALF = 2**-0.5
 
@@ -827,3 +831,66 @@ class TestAngleCache:
         for stop in range(10):
             cli.run(cli.build_spec({"scenario": "chsh-scan", "grid": f"0,{1 + stop / 2},25"}))
             assert bell._angle_work.cache_info().currsize <= bell._angle_work.cache_info().maxsize
+
+    def test_config_rules_run_once_per_entry(self, monkeypatch):
+        # the finiteness check runs on the first config at given angle bytes
+        # and marks the entry; a second config at those bytes skips it
+        bell._angle_work.cache_clear()
+        checks, check = [], bell._check
+        monkeypatch.setattr(bell, "_check", lambda ok, *rest: checks.append(ok.shape) or check(ok, *rest))
+        ExperimentConfig(0.6, 0.8, (0.1, 0.2, 0.3), -0.4)
+        assert checks == [(3,), ()]
+        ExperimentConfig(0.8, 0.6j, (0.1, 0.2, 0.3), -0.4)
+        assert checks == [(3,), ()]
+        ExperimentConfig(0.8, 0.6j, (0.1, 0.2, 0.3), -0.0)
+        assert checks == [(3,), (), ()]
+
+    @pytest.mark.parametrize(
+        "make, theta",
+        [(spin_eigenstates, math.nan), (lambda theta: measurement_unitary(theta, "P", "M"), math.inf), (spin_eigenstates, (0.1, -math.inf))],
+        ids=["nan-eigenstates", "inf-unitary", "batch-eigenstates"],
+    )
+    def test_entries_made_outside_a_config_stay_unchecked(self, make, theta):
+        # an entry the public functions made holds rows of angles no config
+        # accepts; a config at those bytes still meets the rules, before any cos
+        bell._angle_work.cache_clear()
+        with pytest.raises(ValueError, match="is not finite") as fresh:
+            ExperimentConfig(theta1=theta)
+        bell._angle_work.cache_clear()
+        # spin_eigenstates refuses its states of NaN amplitudes once the entry holds their rows
+        with np.errstate(invalid="ignore"), contextlib.suppress(NotNormalized):
+            make(theta)
+        assert bell._angle_work.cache_info().currsize == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(2):
+                with pytest.raises(ValueError) as cached:
+                    ExperimentConfig(theta1=theta)
+                assert str(cached.value) == str(fresh.value)
+        assert bell._angle_work.cache_info().hits == 2
+
+
+class TestCoefficientFreeWork:
+    """What no pair coefficient changes is built once and shared."""
+
+    def test_particle_candidates_are_built_once(self):
+        for side in (1, 2):
+            states = particle_candidate_states(side)
+            assert particle_candidate_states(side) is states
+            space = bell.particle_space(bell._SIDE_LABELS[side][0])
+            for state, index in zip(states, bell.PAIR_BASIS[side]):
+                assert state.space == space and same_bytes(state.amplitudes, basis_state(space, index).amplitudes)
+
+    @pytest.mark.parametrize("side", [0, 3, "1", [1], None], ids=str)
+    def test_a_bad_side_is_refused_before_the_cache(self, side):
+        with pytest.raises(ValueError, match=f"side must be 1 or 2, got {re.escape(repr(side))}"):
+            particle_candidate_states(side)
+
+    @pytest.mark.parametrize("scalar", [True, False])
+    def test_one_chsh_pass_matches_a_correlator_per_route(self, scalar):
+        angles = (0.1, 0.7, -1.0, 2.0) if scalar else (0.1, 0.7, np.linspace(-1.0, 2.0, 5), np.linspace(0.0, 3.0, 5))
+        config = ExperimentConfig(0.6, 0.8j, *bell._chsh_angles(angles)[:2])
+        tables = [route(config) for route in (correlation_entangled, correlation_factorized, correlation_direct)]
+        for s, table in zip(bell._chsh_value(tables, scalar), tables):
+            expected = chsh_value_by_correlator(table, scalar)
+            assert type(s) is type(expected) and same_bytes(s, expected)

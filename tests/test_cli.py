@@ -32,7 +32,7 @@ from qrs_sim.cli import (
     parse_config,
     run,
 )
-from qrs_sim import bell, linalg, reference
+from qrs_sim import bell, cli, linalg, reference
 from qrs_sim.bell import COEFF_MARGIN, COEFF_TOL, ExperimentConfig
 from qrs_sim.errors import ConfigError, NotNormalized
 
@@ -264,8 +264,9 @@ class TestScenarios:
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_one_single_setting_config_per_run(self, scenario, monkeypatch):
-        # build_spec validates the coefficients by building the spec's
-        # config; the runners reuse it (chsh-scan builds only batches)
+        # build_spec validates the coefficients by their rule alone; the
+        # runners that read the spec's config build it once, and chsh-scan
+        # and intro-measurement build none (the scan builds only its batch)
         batches = []
         post_init = ExperimentConfig.__post_init__
 
@@ -275,7 +276,7 @@ class TestScenarios:
 
         monkeypatch.setattr(ExperimentConfig, "__post_init__", counting)
         run(build_spec({"scenario": scenario, "a": "0.6", "b": "0.8"}))
-        assert batches.count(None) == 1
+        assert batches.count(None) == (scenario not in ("chsh-scan", "intro-measurement"))
 
     def test_one_validation_pass_per_ancilla_run(self, monkeypatch):
         # the four-way and the device table come from one pass over the
@@ -308,13 +309,13 @@ class TestScenarios:
         run(spec)
         assert len(checked) == 8
 
-    def test_scan_builds_two_configs(self, monkeypatch):
-        # the spec's own config and one settings batch that all three routes share
+    def test_scan_builds_one_settings_batch(self, monkeypatch):
+        # one settings batch that all three routes share, and no config of the spec's own
         built = []
         post_init = ExperimentConfig.__post_init__
         monkeypatch.setattr(ExperimentConfig, "__post_init__", lambda config: post_init(config) or built.append(config.batch))
         run(build_spec({"scenario": "chsh-scan", "a": "0.6", "b": "0.8", "grid": "0,3.1,25"}))
-        assert built == [None, 100]
+        assert built == [100]
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_no_scenario_calls_eigvalsh(self, scenario, monkeypatch):
@@ -328,9 +329,10 @@ class TestScenarios:
     @pytest.mark.parametrize("kind", ["entangled", "factorized", "direct"])
     @pytest.mark.parametrize("angles", [DEFAULT_QUADRUPLE, (0.1, 0.7, np.linspace(-1.0, 2.0, 5), np.linspace(0.0, 3.0, 5))], ids=["scalar", "array"])
     def test_chsh_is_the_helpers_composition(self, kind, angles):
-        config, scalar = bell._chsh_settings(angles, 0.6, 0.8j)
+        theta1, theta2, scalar = bell._chsh_angles(angles)
+        config = ExperimentConfig(0.6, 0.8j, theta1, theta2)
         route = {"entangled": bell.correlation_entangled, "factorized": bell.correlation_factorized, "direct": bell.correlation_direct}[kind]
-        s, composed = bell.chsh(kind, angles, 0.6, 0.8j), bell._chsh_value(route(config), scalar)
+        s, composed = bell.chsh(kind, angles, 0.6, 0.8j), bell._chsh_value([route(config)], scalar)[0]
         assert type(s) is type(composed) and np.asarray(s).tobytes() == np.asarray(composed).tobytes()
         assert scalar == (angles is DEFAULT_QUADRUPLE)
 
@@ -592,18 +594,82 @@ ANGLE_CACHE_BUDGET = 5.3e6
 
 def test_angle_cache_stays_within_its_budget():
     # two capped scans on different quadruples fill every entry; the bytes
-    # still allocated from bell.py afterwards are what the cache holds
+    # still allocated from bell.py afterwards are what the cache holds, once
+    # the scan-angle cache, whose settings arrays bell._chsh_angles builds,
+    # lets go of exactly those two scans' arrays (8 B per setting a side)
     assert quiet_main(["run", "--scenario=chsh-scan", "--grid=0,3.14,2"]) == 0
     bell._angle_work.cache_clear()
     tracemalloc.start()
     try:
         for angles in ("0,1.6,0.8,2.4", "0.1,1.7,0.9,2.5"):
             assert quiet_main(["run", "--scenario=chsh-scan", f"--angles={angles}", f"--grid=0,3.14,{MAX_GRID_STEPS}"]) == 0
-        held = tracemalloc.take_snapshot().filter_traces([tracemalloc.Filter(True, bell.__file__)])
+        only_bell = [tracemalloc.Filter(True, bell.__file__)]
+        with_scans = tracemalloc.take_snapshot().filter_traces(only_bell)
+        cli._scan_angles.cache_clear()
+        held = tracemalloc.take_snapshot().filter_traces(only_bell)
     finally:
         tracemalloc.stop()
+    scan_arrays = sum(t.size for t in with_scans.traces) - sum(t.size for t in held.traces)
+    assert 2 * 2 * 4 * MAX_GRID_STEPS * 8 <= scan_arrays <= 2 * 2 * 4 * MAX_GRID_STEPS * 8 + 1024
     assert bell._angle_work.cache_info().currsize == bell._angle_work.cache_info().maxsize
     assert 4 * MAX_GRID_STEPS * 328 * bell._angle_work.cache_info().maxsize <= sum(t.size for t in held.traces) <= ANGLE_CACHE_BUDGET
+
+
+def _leaves(value, path=()):
+    """(path, value) of every leaf of a report dict."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, path + (key,))
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            yield from _leaves(item, path + (i,))
+    else:
+        yield path, value
+
+
+class TestScanAngles:
+    """A scan's grid points and settings angles depend on its quadruple and
+    grid alone, so they are built once per grid and shared by its runs."""
+
+    def test_arrays_match_a_fresh_build_and_are_read_only(self):
+        cli._scan_angles.cache_clear()
+        spec = build_spec({"scenario": "chsh-scan", "angles": "0.1,1.7,0.9,2.5", "grid": "0,3.14,25"})
+        first, again = run(spec), run(spec)
+        assert cli.report_dict(first) == cli.report_dict(again)
+        assert cli._scan_angles.cache_info()[:2] == (1, 1)
+        cached = cli._scan_angles(repr((spec.angles, spec.grid)), spec.angles, spec.grid)
+        points = np.linspace(0.0, 3.14, 25)
+        fresh = (points, *bell._chsh_angles((0.1, 1.7, points, points + (2.5 - 0.9)))[:2])
+        for array, expected in zip(cached, fresh):
+            assert array.dtype == expected.dtype and array.shape == expected.shape and array.tobytes() == expected.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    def test_an_entry_holds_nine_floats_per_grid_point(self):
+        # the grid points and four settings a side per point: 72,000 B at the cap
+        grid = (0.0, 3.14, MAX_GRID_STEPS)
+        assert sum(array.nbytes for array in cli._scan_angles(repr((None, grid)), None, grid)) == 9 * 8 * MAX_GRID_STEPS == 72_000
+
+    @pytest.mark.parametrize(
+        "grids, differ",
+        [(("-0.0,3.14,25", "0,3.14,25"), {("spec", "grid", 0)}), (("0,-0.0,2", "0,0,2"), {("spec", "grid", 1), ("tables", 0, "values", 1)})],
+        ids=["signed-start", "signed-stop"],
+    )
+    def test_signed_zero_grids_keep_their_own_entries(self, grids, differ):
+        # equal as tuples, so only the bits in the key keep them apart; the
+        # reports differ where they always did, in the grid and its points
+        cli._scan_angles.cache_clear()
+        reports = [dict(_leaves(cli.report_dict(run(build_spec({"scenario": "chsh-scan", "grid": grid}))))) for grid in grids]
+        assert cli._scan_angles.cache_info().misses == 2
+        assert {path for path, value in reports[0].items() if json.dumps(value) != json.dumps(reports[1][path])} == differ
+
+
+def test_coefficient_free_caches_stay_bounded():
+    for stop in range(10):
+        run(build_spec({"scenario": "chsh-scan", "grid": f"0,{1 + stop / 2},25"}))
+        for cache in (cli._scan_angles, bell._angle_work, linalg._moves, reference._orthonormal):
+            assert cache.cache_info().currsize <= cache.cache_info().maxsize
+    assert bell._pair_basis.cache_info().currsize <= 2
 
 
 def test_import_fills_no_cache():
@@ -618,6 +684,7 @@ def test_import_fills_no_cache():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     caches = json.loads(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout)
     assert {"qrs_sim.bell._space", "qrs_sim.bell._angle_work", "qrs_sim.bell.pointer_ready_state", "qrs_sim.cli._build_parser"} <= caches.keys()
+    assert {"qrs_sim.bell._pair_basis", "qrs_sim.cli._scan_angles", "qrs_sim.linalg._moves", "qrs_sim.reference._orthonormal"} <= caches.keys()
     assert caches == dict.fromkeys(caches, 0)
 
 

@@ -28,7 +28,7 @@ from qrs_sim import (
     state_of,
     tensor_product,
 )
-from qrs_sim import reference
+from qrs_sim import cli, linalg, reference
 
 from oracles import candidates_by_lists, eig_hermitian_by_columns, embed_operator, projector, reorder
 
@@ -588,6 +588,23 @@ class TestOperatorApply:
         moved = op.apply(psi)
         assert moved.space == full
         assert_allclose(moved.amplitudes, embed_operator(op, full).apply(psi).amplitudes, atol=1e-12)
+
+    def test_permutation_cache_is_the_argsort_of_front(self, monkeypatch, rng):
+        # every registry and label order the apply tests and the scenarios
+        # use: the cached pair is _front and its np.argsort, as tuples
+        seen, moves = [], linalg._moves
+        monkeypatch.setattr(linalg, "_moves", lambda space, labels: seen.append((space, labels)) or moves(space, labels))
+        full = SpaceRegistry([("A", 2), ("B", 3), ("C", 2)])
+        for labels in [("A", "B", "C"), ("C", "A"), ("B",), ("C", "B", "A"), ("A", "C")]:
+            sub = SpaceRegistry((label, full.dims[full.axis(label)]) for label in labels)
+            Operator(sub, random_unitary(sub.dim, rng)).apply(random_state(full, rng))
+        for scenario in cli.SCENARIOS:
+            cli.run(cli.build_spec({"scenario": scenario}))
+        assert len({(space.entries, labels) for space, labels in seen}) == 10
+        for space, labels in seen:
+            perm = linalg._front(space, labels)
+            assert moves(space, labels) == (tuple(perm), tuple(np.argsort(perm).tolist()))
+            assert all(type(axis) is int for axis in moves(space, labels)[1])
 
     def test_unknown_label(self, rng):
         op = Operator(SpaceRegistry([("Z", 2)]), np.eye(2))

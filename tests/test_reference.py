@@ -37,7 +37,7 @@ from qrs_sim import reference as reference_module
 from qrs_sim.linalg import Operator, _pure_reduced
 from qrs_sim.reference import _candidate_kets, _normalized_systems
 
-from oracles import candidate_kets_by_system, count_draws, joint_distribution_by_projectors, sample_by_picks
+from oracles import candidate_kets_by_system, count_draws, joint_distribution_by_projectors, orthonormal_uncached, sample_by_picks
 
 
 def post_measurement_system(alpha=0.6, beta=0.8):
@@ -643,6 +643,29 @@ class TestSuppliedCandidates:
                     shapes.setdefault((reference.space.restrict(system).dim, len(states)), []).append(system)
                 assert sorted(calls) == sorted(sorted(group) for group in shapes.values()), name
                 assert len(calls) == (3 if name.startswith("dims 2 and 3") else 1), name
+
+    def test_gram_verdict_matches_the_uncached_product(self, monkeypatch):
+        # every ket stack the cases validate, orthonormal or not, is judged
+        # by the cached verdict, which equals the Gram product taken afresh
+        stacks, verdict = [], reference_module._orthonormal
+        monkeypatch.setattr(reference_module, "_orthonormal", lambda bits, shape: stacks.append((bits, shape)) or verdict(bits, shape))
+        for _, systems, reference, candidates, _ in supplied_candidate_cases():
+            checked(lambda: _candidate_kets(_normalized_systems(systems, reference), reference, candidates))
+        verdicts = set()
+        for bits, shape in stacks:
+            expected = orthonormal_uncached(np.frombuffer(bits, dtype=complex).reshape(shape).copy())
+            assert verdict(bits, shape) == expected
+            verdicts.update(expected)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-13, 1e-9, 1.0], ids=str)
+    def test_gram_verdict_of_random_stacks(self, offset, rng):
+        # three (4, 2) stacks, the middle one off from orthonormal by offset
+        stack = np.array([np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))[0] for _ in range(3)])
+        stack[1, 0, 0] += offset
+        cached = reference_module._orthonormal(stack.tobytes(), stack.shape)
+        assert cached == orthonormal_uncached(stack) and cached == (True, offset < 1e-10, True)
+        assert reference_module._orthonormal(stack.tobytes(), stack.shape) is cached
 
     def test_bad_arguments_are_named(self):
         ref = pair_system()

@@ -76,7 +76,7 @@ def test_random_stacks_match(d, rank):
 
 def route_states() -> dict:
     """The pure states every route validates reduced states of."""
-    scan, _ = bell._chsh_settings((0.0, np.pi / 2, np.linspace(0, np.pi, 25), np.linspace(0, np.pi, 25) + np.pi / 4), 0.6, 0.8j)
+    scan = bell.ExperimentConfig(0.6, 0.8j, *bell._chsh_angles((0.0, np.pi / 2, np.linspace(0, np.pi, 25), np.linspace(0, np.pi, 25) + np.pi / 4))[:2])
     spin = StateVector(bell.particle_space("P"), [0.6, 0.8j])
     intro = bell.measurement_unitary(0.7, "P", "M").apply(tensor_product(spin, bell.pointer_ready_state("M")))
     ancilla = bell.ExperimentConfig(0.8, 0.6, (0.3, -1.1, 2.0), (-2.5, 0.0, 1.0))
