@@ -89,11 +89,10 @@ class ExperimentConfig:
     entangled pair at (0, pi/2).
 
     The coefficient rule (``_check_coefficients``, which the command line
-    shares) runs on every config.  Each side's angles are looked up in the
-    angle cache by their bytes and shape as the config is built; the shape
-    and finiteness rules run only while that entry is not yet marked as
-    checked, and always before any cos or sin of the angles.  The rows are
-    derived from the config's own angle array on first use.
+    shares) and the angle rules run on every config, before any cos or sin
+    of the angles and before the angle cache is touched, so a refused
+    config leaves the cache as it was.  Each side's entry is looked up by
+    the bytes and shape of the config's own angle array on first use.
     """
 
     a: complex = ROOT_HALF
@@ -103,25 +102,21 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_coefficients(self.a, self.b)
-        lookups = []
+        sides = []
         for name in ("theta1", "theta2"):
             value = getattr(self, name)
             try:
                 angles = np.array(value, dtype=float)
             except (TypeError, ValueError):
                 raise ValueError(f"{name} must be a float or a 1-D sequence of floats, got {value!r}") from None
-            work = _angle_work((angles.tobytes(), angles.shape))
-            # the rules run once per entry, and before any cos or sin of these angles
-            if not work.checked:
-                if angles.ndim > 1 or not angles.size:
-                    raise ValueError(f"{name} must be a float or a non-empty 1-D sequence, got shape {angles.shape}")
-                _check(np.isfinite(angles), ValueError, lambda i: f"{name} = {float(angles[i])!r} is not finite")
-                work.checked = True
+            if angles.ndim > 1 or not angles.size:
+                raise ValueError(f"{name} must be a float or a non-empty 1-D sequence, got shape {angles.shape}")
+            _check(np.isfinite(angles), ValueError, lambda i: f"{name} = {float(angles[i])!r} is not finite")
             object.__setattr__(self, name, tuple(angles.tolist()) if angles.ndim else float(angles))
-            lookups.append((work, angles))
+            sides.append(angles)
         if len({len(t) for t in (self.theta1, self.theta2) if isinstance(t, tuple)}) > 1:
             raise ValueError(f"theta1 and theta2 batches differ in length ({len(self.theta1)}, {len(self.theta2)})")
-        object.__setattr__(self, "_lookups", lookups)
+        object.__setattr__(self, "_angles", sides)
 
     @property
     def coefficients(self) -> tuple[complex, complex]:
@@ -135,9 +130,9 @@ class ExperimentConfig:
 
     @cached_property
     def _sides(self) -> tuple[_AngleWork, _AngleWork]:
-        """Each side's angle cache entry, its rows derived from the config's
-        own angles on first use; not a field."""
-        return tuple(_derived(work, angles) for work, angles in self._lookups)
+        """Each side's angle cache entry, looked up from the config's own
+        angles on first use; not a field."""
+        return tuple(_work(angles) for angles in self._angles)
 
     @property
     def _rows(self) -> tuple[np.ndarray, np.ndarray]:
@@ -230,12 +225,10 @@ def _controlled_swap(amps: np.ndarray, complete: bool = False) -> np.ndarray:
 
 
 class _AngleWork:
-    """An entry of the angle cache: one side's read-only spin ``rows``,
-    once ``measurement_unitary`` builds it, its real coupling array ``swap``,
-    and whether a config has found the angles meet its rules."""
+    """An entry of the angle cache: one side's read-only spin ``rows`` and,
+    once ``measurement_unitary`` builds it, its real coupling array ``swap``."""
 
     rows = swap = None
-    checked = False
 
 
 @lru_cache(maxsize=4)
@@ -247,15 +240,12 @@ def _angle_work(key: tuple[bytes, tuple[int, ...]]) -> _AngleWork:
 
 
 def _work(theta) -> _AngleWork:
-    """The angle cache's entry of ``theta`` (an entry passes through), with its rows."""
+    """The angle cache's entry of ``theta`` (an entry passes through), its
+    rows derived from the angles on a first use."""
     if isinstance(theta, _AngleWork):
         return theta
     angles = np.asarray(theta, dtype=float)
-    return _derived(_angle_work((angles.tobytes(), angles.shape)), angles)
-
-
-def _derived(work: _AngleWork, angles: np.ndarray) -> _AngleWork:
-    """``work``, its rows derived from ``angles``, its key's angles, on a first use."""
+    work = _angle_work((angles.tobytes(), angles.shape))
     if work.rows is None:
         work.rows = _spin_rows(angles)
         work.rows.setflags(write=False)
@@ -338,7 +328,7 @@ def pointer_tables(state: StateVector, *groups) -> list[JointDistribution]:
     analytic pointer outcome candidates injected, validated once per pointer."""
     pointers = dict.fromkeys(pointer for group in groups for pointer in group)
     return joint_distributions(
-        [[(pointer,) for pointer in group] for group in groups],
+        tuple(tuple((pointer,) for pointer in group) for group in groups),
         ReferenceSystem(state, isolated=True),
         candidates=[pointer_outcome_states(pointer) for pointer in pointers],
     )
@@ -369,7 +359,7 @@ def pair_distribution(config: ExperimentConfig) -> JointDistribution:
     equals diag(|c_1|^2, |c_2|^2)."""
     reference = ReferenceSystem(entangled_pair_state(config), isolated=True)
     return joint_distribution(
-        [(P1,), (P2,)],
+        ((P1,), (P2,)),
         reference,
         candidates=[particle_candidate_states(1), particle_candidate_states(2)],
     )

@@ -295,29 +295,40 @@ def _density_rules(mat: np.ndarray) -> list:
     Hermiticity and trace within 1e-12, eigenvalues >= -1e-12.  ``ok`` is an
     array over the leading axes, and ``message(i)`` describes the failure
     of member ``i``.  A member that meets the first two rules and whose
-    Gershgorin bound is at least -PSD_TOL/2 meets the third; only the rest
-    go through ``eigvalsh``, so every refusal reads its eigenvalue."""
+    Gershgorin bound is at least -PSD_TOL/2 meets the third.  A passing stack
+    costs whole-stack reductions; only a failing one takes each member's
+    residual and bound, and only the members that bound leaves open go
+    through ``eigvalsh``, so every refusal reads its own values."""
     # every guard is written so that NaN fails it, and overflow to inf or
     # NaN fails it silently
+    d = mat.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        herm = np.abs(mat - mat.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-        trace = np.trace(mat, axis1=-2, axis2=-1)
+        skew, magnitudes = np.abs(mat - mat.conj().swapaxes(-1, -2)), np.abs(mat)
+        diagonal = np.diagonal(mat, axis1=-2, axis2=-1)
+        worst, trace = skew.max(), diagonal.sum(axis=-1)
         # Gershgorin (1931) on the matrix eigvalsh reads, its lower triangle
         # mirrored: its off-diagonal row sums exceed the stored ones by at
-        # most (d - 1) herm.  Under the PSD_TOL/2 margin the eigensolver's
-        # rounding, about d eps, cannot refuse a member the bound clears.
-        diagonal = np.diagonal(mat, axis1=-2, axis2=-1)
-        rows = np.abs(mat).sum(axis=-1) - np.abs(diagonal) + (mat.shape[-1] - 1) * herm[..., None]
-        bound = (diagonal.real - rows).min(axis=-1)
-    hermitian, unit = herm <= HERMITIAN_TOL, np.abs(trace - 1.0) <= TRACE_TOL
-    unsettled = hermitian & unit & ~(bound >= -PSD_TOL / 2)
-    smallest = np.zeros(unsettled.shape)
-    if unsettled.any():
-        smallest[unsettled] = np.linalg.eigvalsh(mat[unsettled])[:, 0]
+        # most (d - 1) herm <= (d - 1) worst.  Under the PSD_TOL/2 margin the
+        # eigensolver's rounding, about d eps, cannot refuse a member the bound
+        # clears, nor can the order of row sums that no message prints.
+        rows = (magnitudes.reshape(-1, d) @ np.ones(d)).reshape(diagonal.shape) - np.abs(diagonal)
+        bound = (diagonal.real - rows - (d - 1) * worst).min()
+        # a passing stack shares one all-true array, and no message is read
+        hermitian = unit = psd = np.abs(trace - 1.0) <= TRACE_TOL
+        if not (worst <= HERMITIAN_TOL and unit.all() and bound >= -PSD_TOL / 2):
+            herm = skew.max(axis=(-2, -1))
+            rows = magnitudes.sum(axis=-1) - np.abs(diagonal) + (d - 1) * herm[..., None]
+            bound = (diagonal.real - rows).min(axis=-1)
+            hermitian = herm <= HERMITIAN_TOL
+            unsettled = hermitian & unit & ~(bound >= -PSD_TOL / 2)
+            smallest = np.zeros(unsettled.shape)
+            if unsettled.any():
+                smallest[unsettled] = np.linalg.eigvalsh(mat[unsettled])[:, 0]
+            psd = smallest >= -PSD_TOL
     return [
         (hermitian, NotHermitian, lambda i: f"Hermiticity residual {herm[i]:.3e} exceeds {HERMITIAN_TOL}"),
         (unit, ValueError, lambda i: f"trace {complex(trace[i])!r} deviates from 1 by more than {TRACE_TOL}"),
-        (smallest >= -PSD_TOL, ValueError, lambda i: f"negative eigenvalue {smallest[i]:.3e} below -{PSD_TOL}"),
+        (psd, ValueError, lambda i: f"negative eigenvalue {smallest[i]:.3e} below -{PSD_TOL}"),
     ]
 
 

@@ -89,16 +89,16 @@ class JointDistribution:
         batched = table.ndim == len(shape) + 1
         if table.shape[batched:] != shape or not table.size:
             raise ValueError(f"table shape {table.shape} matches neither axes {shape} nor a batch of them")
-        # one value per member; a sum within the tolerance is finite, so
-        # every entry is, and the rules are walked only when one fails
+        # one min and a sum per member; a sum within the tolerance is finite,
+        # so every entry is, and the rules are walked only when one fails
         members = tuple(range(batched, table.ndim))
         with np.errstate(over="ignore", invalid="ignore"):  # a sum that is not finite fails
-            low, total = table.min(axis=members), table.sum(axis=members)
-        nonnegative, unit = low >= -PROB_CLAMP, np.abs(total - 1.0) <= TABLE_SUM_TOL
-        if not (nonnegative & unit).all():
-            finite = np.isfinite(table)
+            low, total = table.min(), table.sum(axis=members)
+        unit = np.abs(total - 1.0) <= TABLE_SUM_TOL
+        if not (low >= -PROB_CLAMP and unit.all()):
+            finite, low = np.isfinite(table), table.min(axis=members)
             _check(finite.all(axis=members), ValueError, lambda i: f"probability {float(table[i][~finite[i]][0])!r} is not finite")
-            _check(nonnegative, ValueError, lambda i: f"negative probability {low[i]:.3e} below -{PROB_CLAMP}")
+            _check(low >= -PROB_CLAMP, ValueError, lambda i: f"negative probability {low[i]:.3e} below -{PROB_CLAMP}")
             _check(unit, ValueError, lambda i: f"table sums to {float(total[i])!r}, off from 1 by over {TABLE_SUM_TOL}")
         table = table.copy()
         table.flags.writeable = False
@@ -188,10 +188,10 @@ def _listed(values, name: str) -> tuple:
     return tuple(values)
 
 
-def _normalized_systems(systems, reference: ReferenceSystem) -> list[tuple[str, ...]]:
+def _normalized_systems(systems, space: SpaceRegistry) -> list[tuple[str, ...]]:
     out = []
     for system in _listed(systems, "systems"):
-        labels = reference.space.resolve(system)
+        labels = space.resolve(system)
         if not labels:
             raise UnknownLabel("a subsystem must name at least one label")
         out.append(labels)
@@ -210,6 +210,23 @@ def _check_disjoint(systems: list[tuple[str, ...]]) -> None:
                 )
 
 
+def _plannable(tables) -> bool:
+    """Whether ``tables`` is tuples down to string labels, the form a plan is cached for."""
+    return type(tables) is tuple and all(type(t) is tuple and all(type(s) is tuple and all(type(x) is str for x in s) for s in t) for t in tables)
+
+
+@lru_cache(maxsize=16)
+def _plan(space: SpaceRegistry, tables) -> tuple[tuple, tuple[tuple[str, ...], ...]]:
+    """Each table's systems resolved on ``space`` and found pairwise
+    disjoint, and the distinct systems in order of first appearance."""
+    tables = [_normalized_systems(systems, space) for systems in _listed(tables, "tables")]
+    for systems in tables:
+        if not systems:
+            raise ValueError("at least one subsystem is required")
+        _check_disjoint(systems)
+    return tuple(map(tuple, tables)), tuple(dict.fromkeys(system for systems in tables for system in systems))
+
+
 def _candidate_kets(
     systems: list[tuple[str, ...]],
     reference: ReferenceSystem,
@@ -221,7 +238,8 @@ def _candidate_kets(
     (registry order), be orthonormal, and be eigenstates of the system's
     reduced state in every member; this is how scenario code pins a basis
     when the spectrum is degenerate.  The list checks run first, system by
-    system; the rest take one stacked pass per ket shape
+    system; what no state changes is prepared once per set of candidate
+    bits (``_supplied``), and the rest takes one stacked pass per ket shape
     (``_check_supplied``).
     """
     if candidates is None:
@@ -230,7 +248,7 @@ def _candidate_kets(
     candidates = _listed(candidates, "candidates")
     if len(candidates) != len(systems):
         raise ValueError("candidates must align one list per system")
-    space, out = reference.space, []
+    space, key = reference.space, []
     for system, states in zip(systems, candidates):
         entries = tuple(space.entries[space.axis(label)] for label in system)
         name = "+".join(system)
@@ -242,45 +260,59 @@ def _candidate_kets(
                 raise ValueError(f"candidate {k} for {name} must be a StateVector, got {phi!r}")
             if phi.space.entries != entries or phi.batch is not None:
                 raise ValueError(f"candidate {k} for {name} is on {phi.space!r}, expected one state on {space.restrict(system)!r}")
-        out.append(np.array([phi.amplitudes for phi in states]).T)
-    _check_supplied(systems, reference.state, out)
-    return out
+        key.append((b"".join(phi.amplitudes.tobytes() for phi in states), (len(states), phi.space.dim)))
+    kets, groups = _supplied(tuple(key))
+    _check_supplied(systems, reference.state, groups)
+    return list(kets)
 
 
-def _check_supplied(systems: list[tuple[str, ...]], state: StateVector, kets: list[np.ndarray]) -> None:
-    """Refuse supplied candidate ``kets`` that are not orthonormal
-    eigenstates of their system's reduced state in every member.
+@lru_cache(maxsize=16)
+def _supplied(key: tuple[tuple[bytes, tuple[int, int]], ...]) -> tuple[tuple[np.ndarray, ...], tuple]:
+    """What supplied candidates, given by the bytes and ``(n, d)`` shape of
+    each system's amplitudes, fix without a state: each system's read-only
+    ``(d, n)`` kets and, per ket shape, its systems, whether each one's kets
+    are orthonormal within ``EIGENSTATE_TOL``, and ``_eigenstates``' operands."""
+    kets = tuple(np.frombuffer(bits, dtype=complex).reshape(shape).T for bits, shape in key)
+    groups = []
+    for d, n in dict.fromkeys(columns.shape for columns in kets):
+        group = tuple(j for j, columns in enumerate(kets) if columns.shape == (d, n))
+        stack = np.array([kets[j] for j in group])
+        orthonormal = (np.abs(stack.conj().swapaxes(-1, -2) @ stack - np.eye(n)) <= EIGENSTATE_TOL).all(axis=(-2, -1))
+        # each column's bra over a flat (d, n) image, its ket, and its squared parts' sum
+        bras = np.zeros((len(group), d * n, n), dtype=complex)
+        bras[:, range(d * n), np.tile(range(n), d)] = stack.conj().reshape(len(group), -1)
+        operands = (stack, bras, bras.conj().swapaxes(-1, -2), np.repeat(np.tile(np.eye(n), (d, 1)), 2, axis=0))
+        for array in operands:
+            array.flags.writeable = False
+        groups.append((group, tuple(orthonormal.tolist()), operands))
+    return kets, tuple(groups)
 
-    All systems whose kets have one shape ``(d, n)`` share one pass on a
-    leading system axis: their reduced states over all members come from
-    one ``_pure_reduced`` stack and meet the density-operator rules in one
-    ``_density_rules`` call; the Gram verdict of their ket stack, which no
-    state changes, is taken once per stack (``_orthonormal``), and each
-    system's kets meet its reduced state in every member in one product.
-    Only when some check fails are the systems walked in the order given,
-    reading each one's row of those results: its density rules first, then
+
+def _check_supplied(systems: list[tuple[str, ...]], state: StateVector, groups) -> None:
+    """Refuse supplied candidates, given as ``_supplied``'s shape ``groups``,
+    that are not orthonormal eigenstates of their system's reduced state in
+    every member.
+
+    Each group takes one pass on a leading system axis: its systems' reduced
+    states over all members come from one ``_pure_reduced`` stack and meet
+    the density-operator rules in one ``_density_rules`` call, and their
+    kets meet those states in one product (``_eigenstates``).  Only when
+    some check fails are the systems walked in the order given, reading each
+    one's row of its group's results: its density rules first, then
     orthogonality, then the eigenstate rule, to raise for the first fault,
     naming the state's batch member that fails.
     """
-    lead = (state.batch,) if state.batch else ()
-    passed, rows = True, {}
-    for d, n in {columns.shape for columns in kets}:
-        group = [j for j, columns in enumerate(kets) if columns.shape == (d, n)]
-        rho = _pure_reduced(state, [systems[j] for j in group], d).reshape(len(group), *lead, d, d)
-        stack = np.array([kets[j] for j in group])
-        orthonormal = _orthonormal(stack.tobytes(), stack.shape)
-        images = (rho.reshape(len(group), -1, d) @ stack).reshape(*rho.shape[:-1], n)
-        stack = stack.reshape(len(group), *(1,) * len(lead), d, n)
-        weights = (stack.conj() * images).sum(axis=-2)
-        eigen = np.linalg.norm(images - weights[..., None, :] * stack, axis=-2) <= EIGENSTATE_TOL
-        density = _density_rules(rho)
-        passed &= all(ok.all() for ok, _, _ in density) and all(orthonormal) and eigen.all()
-        rows.update((j, (row, density, orthonormal, eigen)) for row, j in enumerate(group))
-    if passed:
+    lead, results = (state.batch,) if state.batch else (), []
+    for group, orthonormal, operands in groups:
+        g, d, n = operands[0].shape
+        rho = _pure_reduced(state, [systems[j] for j in group], d).reshape(g, *lead, d, d)
+        images = (rho.reshape(g, -1, d) @ operands[0]).reshape(*rho.shape[:-1], n)
+        results.append((group, _density_rules(rho), orthonormal, _eigenstates(images, *operands)))
+    if all(all(ok.all() for ok, _, _ in density) and all(orthonormal) and eigen.all() for _, density, orthonormal, eigen in results):
         return
     for j, system in enumerate(systems):
-        row, density, orthonormal, eigen = rows[j]
-        name = "+".join(system)
+        group, density, orthonormal, eigen = next(result for result in results if j in result[0])
+        row, name = group.index(j), "+".join(system)
         for ok, error, message in density:
             _check(ok[row], error, lambda i: message((row, i) if lead else row))
         if not orthonormal[row]:
@@ -289,12 +321,22 @@ def _check_supplied(systems: list[tuple[str, ...]], state: StateVector, kets: li
         _check(ok.all(axis=-1), ValueError, lambda i: f"candidate {np.argmin(ok[i])} for {name} is not an eigenstate")
 
 
-@lru_cache(maxsize=16)
-def _orthonormal(bits: bytes, shape: tuple[int, ...]) -> tuple[bool, ...]:
-    """Whether each ``(d, n)`` ket stack of a ``(G, d, n)`` complex array, given
-    by its bytes and shape, is orthonormal within ``EIGENSTATE_TOL``."""
-    stack = np.frombuffer(bits, dtype=complex).reshape(shape)
-    return tuple((np.abs(stack.conj().swapaxes(-1, -2) @ stack - np.eye(shape[-1])) <= EIGENSTATE_TOL).all(axis=(-2, -1)).tolist())
+def _eigenstates(images: np.ndarray, stack: np.ndarray, bras: np.ndarray, placed: np.ndarray, fold: np.ndarray) -> np.ndarray:
+    """Whether each ket of the ``(G, d, n)`` ``stack`` has a residual
+    ``image - <ket|image> ket`` of norm within ``EIGENSTATE_TOL``, given its
+    ``(G, ..., d, n)`` ``images``.  A stack passes when the squared norms, two
+    products over the ket axis with ``_supplied``'s operands, are within a
+    quarter of the squared tolerance: no message reads them, and their
+    rounding, under 1e-15 on unit kets, cannot carry a norm over half of it.
+    Only the rest take each norm."""
+    g, d, n = stack.shape
+    flat = images.reshape(g, -1, d * n)
+    residual = flat - (flat @ bras) @ placed
+    if ((residual.view(float) ** 2).reshape(-1, 2 * d * n) @ fold).max() <= (EIGENSTATE_TOL / 2) ** 2:
+        return np.ones((*images.shape[:-2], n), dtype=bool)
+    kets = stack.reshape(g, *(1,) * (images.ndim - 3), d, n)
+    weights = (kets.conj() * images).sum(axis=-2)
+    return np.linalg.norm(images - weights[..., None, :] * kets, axis=-2) <= EIGENSTATE_TOL
 
 
 def joint_probability(
@@ -333,23 +375,19 @@ def joint_distribution(systems, reference: ReferenceSystem, *, candidates=None) 
     """Full probability table over all candidate index tuples of the given
     pairwise-disjoint subsystems, ``(B, n_1, ..., n_k)`` for a batched
     reference state.  Sums to 1 within 1e-10."""
-    return joint_distributions([systems], reference, candidates=candidates)[0]
+    return joint_distributions((systems,), reference, candidates=candidates)[0]
 
 
 def joint_distributions(tables, reference: ReferenceSystem, *, candidates=None) -> list[JointDistribution]:
     """The ``joint_distribution`` of each list of subsystems in ``tables``
     on one reference state.  Disjointness is a rule per table; the distinct
     systems, in order of first appearance, take one list of ``candidates``
-    each, built or validated once for all the tables."""
+    each, built or validated once for all the tables.  The plan of tables
+    given as tuples is made once per registry (``_plan``)."""
     if not reference.isolated:
         raise NotIsolated("joint probabilities are defined only for isolated reference systems")
-    tables = [_normalized_systems(systems, reference) for systems in _listed(tables, "tables")]
-    for systems in tables:
-        if not systems:
-            raise ValueError("at least one subsystem is required")
-        _check_disjoint(systems)
-    distinct = list(dict.fromkeys(system for systems in tables for system in systems))
-    bras_of = {system: kets.conj() for system, kets in zip(distinct, _candidate_kets(distinct, reference, candidates))}
+    tables, distinct = (_plan if _plannable(tables) else _plan.__wrapped__)(reference.space, tables)
+    bras_of = {system: kets.conj() for system, kets in zip(distinct, _candidate_kets(list(distinct), reference, candidates))}
     out = []
     for systems in tables:
         bras = [bras_of[system] for system in systems]

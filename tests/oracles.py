@@ -29,8 +29,12 @@ several routes' stacked tables against one ``correlator`` per table.
 
 The decision rules keep the routes a bound-first screen replaced: the
 density-operator rules with one ``eigvalsh`` over the whole stack, and the
-probability-table rules walked one by one on every table.  The package
-must reach the same decisions with the same messages.
+probability-table rules walked one by one on every table.  They also keep
+the per-member forms that whole-stack reductions replaced on a passing
+stack: the density-operator rules on each member's residual and Gershgorin
+bound, the eigenstate rule on each residual's ``np.linalg.norm``, and the
+table rules on each member's min.  The package must reach the same
+decisions with the same messages.
 """
 
 import numpy as np
@@ -116,7 +120,7 @@ def joint_distribution_by_projectors(systems, reference: ReferenceSystem, *, can
     reduced state of the union of the systems."""
     if not reference.isolated:
         raise NotIsolated("joint probabilities are defined only for isolated reference systems")
-    systems = _normalized_systems(systems, reference)
+    systems = _normalized_systems(systems, reference.space)
     if not systems:
         raise ValueError("at least one subsystem is required")
     _check_disjoint(systems)
@@ -259,7 +263,7 @@ def apply_stacked(op: Operator, state: StateVector) -> StateVector:
 def joint_table_by_tensordot(systems, reference: ReferenceSystem, *, candidates=None) -> np.ndarray:
     """The ``joint_distribution`` table, each system contracted by
     ``np.tensordot`` with its conjugated kets."""
-    systems = _normalized_systems(systems, reference)
+    systems = _normalized_systems(systems, reference.space)
     kets = _candidate_kets(systems, reference, candidates)
     tensor = _grouped(reference.state, [label for system in systems for label in system])
     tensor = tensor.reshape(len(tensor), *(len(columns) for columns in kets), -1)
@@ -396,3 +400,52 @@ def table_rules_by_walk(axes, probabilities) -> None:
     _check(low >= -PROB_CLAMP, ValueError, lambda i: f"negative probability {low[i]:.3e} below -{PROB_CLAMP}")
     ok = np.abs(total - 1.0) <= TABLE_SUM_TOL
     _check(ok, ValueError, lambda i: f"table sums to {float(total[i])!r}, off from 1 by over {TABLE_SUM_TOL}")
+
+
+def density_rules_per_member(mat: np.ndarray) -> list:
+    """``linalg._density_rules`` deciding every member on its own values:
+    its Hermiticity residual, its trace and its Gershgorin bound, with
+    ``eigvalsh`` on the members the bound leaves open."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm = np.abs(mat - mat.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        trace = np.trace(mat, axis1=-2, axis2=-1)
+        diagonal = np.diagonal(mat, axis1=-2, axis2=-1)
+        rows = np.abs(mat).sum(axis=-1) - np.abs(diagonal) + (mat.shape[-1] - 1) * herm[..., None]
+        bound = (diagonal.real - rows).min(axis=-1)
+    hermitian, unit = herm <= HERMITIAN_TOL, np.abs(trace - 1.0) <= TRACE_TOL
+    unsettled = hermitian & unit & ~(bound >= -PSD_TOL / 2)
+    smallest = np.zeros(unsettled.shape)
+    if unsettled.any():
+        smallest[unsettled] = np.linalg.eigvalsh(mat[unsettled])[:, 0]
+    return [
+        (hermitian, NotHermitian, lambda i: f"Hermiticity residual {herm[i]:.3e} exceeds {HERMITIAN_TOL}"),
+        (unit, ValueError, lambda i: f"trace {complex(trace[i])!r} deviates from 1 by more than {TRACE_TOL}"),
+        (smallest >= -PSD_TOL, ValueError, lambda i: f"negative eigenvalue {smallest[i]:.3e} below -{PSD_TOL}"),
+    ]
+
+
+def eigenstates_by_norm(images: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """``reference._eigenstates`` from each residual's weight summed over
+    the ket axis and its ``np.linalg.norm``."""
+    kets = stack.reshape(len(stack), *(1,) * (images.ndim - 3), *stack.shape[1:])
+    weights = (kets.conj() * images).sum(axis=-2)
+    return np.linalg.norm(images - weights[..., None, :] * kets, axis=-2) <= EIGENSTATE_TOL
+
+
+def table_rules_per_member(axes, probabilities) -> None:
+    """The ``JointDistribution`` rules decided on each member's min and sum,
+    walked only when one fails; raises as the constructor does."""
+    shape = tuple(count for _, count in axes)
+    table = np.asarray(probabilities, dtype=float)
+    batched = table.ndim == len(shape) + 1
+    if table.shape[batched:] != shape or not table.size:
+        raise ValueError(f"table shape {table.shape} matches neither axes {shape} nor a batch of them")
+    members = tuple(range(batched, table.ndim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        low, total = table.min(axis=members), table.sum(axis=members)
+    nonnegative, unit = low >= -PROB_CLAMP, np.abs(total - 1.0) <= TABLE_SUM_TOL
+    if not (nonnegative & unit).all():
+        finite = np.isfinite(table)
+        _check(finite.all(axis=members), ValueError, lambda i: f"probability {float(table[i][~finite[i]][0])!r} is not finite")
+        _check(nonnegative, ValueError, lambda i: f"negative probability {low[i]:.3e} below -{PROB_CLAMP}")
+        _check(unit, ValueError, lambda i: f"table sums to {float(total[i])!r}, off from 1 by over {TABLE_SUM_TOL}")

@@ -832,18 +832,26 @@ class TestAngleCache:
             cli.run(cli.build_spec({"scenario": "chsh-scan", "grid": f"0,{1 + stop / 2},25"}))
             assert bell._angle_work.cache_info().currsize <= bell._angle_work.cache_info().maxsize
 
-    def test_config_rules_run_once_per_entry(self, monkeypatch):
-        # the finiteness check runs on the first config at given angle bytes
-        # and marks the entry; a second config at those bytes skips it
+    def test_config_rules_run_before_the_cache(self, monkeypatch):
+        # refused configs after a valid one leave the cache's entries as they
+        # were, so the valid config then hits on both sides; no refusal
+        # reaches the cache or any cos or sin of its angles
         bell._angle_work.cache_clear()
-        checks, check = [], bell._check
-        monkeypatch.setattr(bell, "_check", lambda ok, *rest: checks.append(ok.shape) or check(ok, *rest))
-        ExperimentConfig(0.6, 0.8, (0.1, 0.2, 0.3), -0.4)
-        assert checks == [(3,), ()]
-        ExperimentConfig(0.8, 0.6j, (0.1, 0.2, 0.3), -0.4)
-        assert checks == [(3,), ()]
-        ExperimentConfig(0.8, 0.6j, (0.1, 0.2, 0.3), -0.0)
-        assert checks == [(3,), (), ()]
+        valid = (0.6, 0.8, (0.1, 0.2, 0.3), -0.4)
+        evolve_experiment(ExperimentConfig(*valid))
+        before = bell._angle_work.cache_info()
+        touched, lookup, spin_rows = [], bell._angle_work, bell._spin_rows
+        monkeypatch.setattr(bell, "_angle_work", lambda key: touched.append(key) or lookup(key))
+        monkeypatch.setattr(bell, "_spin_rows", lambda theta: touched.append(theta) or spin_rows(theta))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for theta1, theta2 in (([[0.1]], 0.0), ([], 0.0), (math.nan, 0.0), (0.2, -math.inf), ((0.1, 0.2), (0.3, 0.4, 0.5))):
+                with pytest.raises(ValueError):
+                    ExperimentConfig(0.6, 0.8, theta1, theta2)
+        assert touched == [] and lookup.cache_info() == before and before.currsize == 2
+        evolve_experiment(ExperimentConfig(*valid))
+        after = lookup.cache_info()
+        assert (after.hits - before.hits, after.misses, after.currsize) == (2, before.misses, 2)
 
     @pytest.mark.parametrize(
         "make, theta",
@@ -852,7 +860,8 @@ class TestAngleCache:
     )
     def test_entries_made_outside_a_config_stay_unchecked(self, make, theta):
         # an entry the public functions made holds rows of angles no config
-        # accepts; a config at those bytes still meets the rules, before any cos
+        # accepts; a config at those bytes still meets the rules, before any
+        # cos and without touching the cache
         bell._angle_work.cache_clear()
         with pytest.raises(ValueError, match="is not finite") as fresh:
             ExperimentConfig(theta1=theta)
@@ -863,11 +872,12 @@ class TestAngleCache:
         assert bell._angle_work.cache_info().currsize == 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            before = bell._angle_work.cache_info()
             for _ in range(2):
                 with pytest.raises(ValueError) as cached:
                     ExperimentConfig(theta1=theta)
                 assert str(cached.value) == str(fresh.value)
-        assert bell._angle_work.cache_info().hits == 2
+        assert bell._angle_work.cache_info() == before
 
 
 class TestCoefficientFreeWork:

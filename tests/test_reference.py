@@ -584,7 +584,7 @@ class TestSuppliedCandidates:
     @pytest.mark.parametrize("case", supplied_candidate_cases(), ids=lambda case: case[0])
     def test_stacked_pass_matches_per_system_oracle(self, case):
         _, systems, reference, candidates, refusal = case
-        systems = _normalized_systems(systems, reference)
+        systems = _normalized_systems(systems, reference.space)
         got = checked(lambda: _candidate_kets(systems, reference, candidates))
         assert got == checked(lambda: candidate_kets_by_system(systems, reference, candidates))
         assert got == ((ValueError, refusal) if refusal else got)
@@ -613,7 +613,7 @@ class TestSuppliedCandidates:
 
         for name, systems, reference, candidates, refusal in supplied_candidate_cases():
             if refusal is None:
-                systems = _normalized_systems(systems, reference)
+                systems = _normalized_systems(systems, reference.space)
                 for target in systems:
                     for member in sorted({0, (reference.state.batch or 1) - 1}):
                         monkeypatch.setattr("qrs_sim.linalg._pure_reduced", faulty(target, member))
@@ -637,7 +637,7 @@ class TestSuppliedCandidates:
             if refusal is None:
                 calls.clear()
                 joint_distribution(systems, reference, candidates=candidates)
-                systems = _normalized_systems(systems, reference)
+                systems = _normalized_systems(systems, reference.space)
                 shapes = {}
                 for system, states in zip(systems, candidates):
                     shapes.setdefault((reference.space.restrict(system).dim, len(states)), []).append(system)
@@ -647,25 +647,28 @@ class TestSuppliedCandidates:
     def test_gram_verdict_matches_the_uncached_product(self, monkeypatch):
         # every ket stack the cases validate, orthonormal or not, is judged
         # by the cached verdict, which equals the Gram product taken afresh
-        stacks, verdict = [], reference_module._orthonormal
-        monkeypatch.setattr(reference_module, "_orthonormal", lambda bits, shape: stacks.append((bits, shape)) or verdict(bits, shape))
+        keys, prepare = [], reference_module._supplied
+        monkeypatch.setattr(reference_module, "_supplied", lambda key: keys.append(key) or prepare(key))
         for _, systems, reference, candidates, _ in supplied_candidate_cases():
-            checked(lambda: _candidate_kets(_normalized_systems(systems, reference), reference, candidates))
+            checked(lambda: _candidate_kets(_normalized_systems(systems, reference.space), reference, candidates))
         verdicts = set()
-        for bits, shape in stacks:
-            expected = orthonormal_uncached(np.frombuffer(bits, dtype=complex).reshape(shape).copy())
-            assert verdict(bits, shape) == expected
-            verdicts.update(expected)
+        for key in keys:
+            for _, verdict, (stack, *_) in prepare(key)[1]:
+                expected = orthonormal_uncached(stack.copy())
+                assert verdict == expected
+                verdicts.update(expected)
         assert verdicts == {True, False}
 
     @pytest.mark.parametrize("offset", [0.0, 1e-13, 1e-9, 1.0], ids=str)
     def test_gram_verdict_of_random_stacks(self, offset, rng):
-        # three (4, 2) stacks, the middle one off from orthonormal by offset
+        # three systems' (4, 2) kets, the middle one off from orthonormal by offset
         stack = np.array([np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))[0] for _ in range(3)])
         stack[1, 0, 0] += offset
-        cached = reference_module._orthonormal(stack.tobytes(), stack.shape)
+        key = tuple((kets.T.tobytes(), (2, 4)) for kets in stack)
+        (group, cached, (cached_stack, *_)), = reference_module._supplied(key)[1]
+        assert group == (0, 1, 2) and cached_stack.tobytes() == stack.tobytes()
         assert cached == orthonormal_uncached(stack) and cached == (True, offset < 1e-10, True)
-        assert reference_module._orthonormal(stack.tobytes(), stack.shape) is cached
+        assert reference_module._supplied(key)[1][0][1] is cached
 
     def test_bad_arguments_are_named(self):
         ref = pair_system()
@@ -770,3 +773,90 @@ class TestSeveralTables:
             joint_distributions([[("P1",)], [("P2",)]], ref, candidates=[particle_candidate_states(1)])
         with pytest.raises(NotIsolated):
             joint_distributions([[("P1",)]], ReferenceSystem(ref.state))
+
+
+class TestPreparedOnce:
+    """What no state changes is prepared once: the plan of tables given as
+    tuples once per registry, and supplied candidates once per set of bits."""
+
+    def test_caches_stay_bounded(self):
+        ref = _generic_evolved_system()
+        labels = ("P1", "M1", "P2", "M2")
+        subsets = [tuple(label for bit, label in zip(format(k, "04b"), labels) if bit == "1") for k in range(1, 16)]
+        for subset in subsets[:10]:
+            joint_distributions(((subset,),), ref)
+            assert reference_module._plan.cache_info().currsize <= reference_module._plan.cache_info().maxsize
+        for k in range(10):
+            joint_distribution([("M1",)], ref, candidates=[turned_outcomes("M1", k * 1e-14)])
+            assert reference_module._supplied.cache_info().currsize <= reference_module._supplied.cache_info().maxsize
+
+    def test_cached_arrays_are_read_only(self):
+        ref = ReferenceSystem(evolve_experiment(ExperimentConfig(0.6, 0.8j, (0.4, -1.0), (1.3, 2.2))), isolated=True)
+        candidates = [pointer_outcome_states(label) for label in ("M1", "M2")]
+        got = _candidate_kets([("M1",), ("M2",)], ref, candidates)
+        key = tuple((b"".join(phi.amplitudes.tobytes() for phi in states), (2, 3)) for states in candidates)
+        kets, groups = reference_module._supplied(key)
+        assert all(a is b for a, b in zip(got, kets))
+        for array in (*kets, *(operand for _, _, operands in groups for operand in operands)):
+            with pytest.raises(ValueError, match="read-only"):
+                array[..., 0, 0] = 1.0
+
+    def test_signed_zero_candidates_get_their_own_entry(self):
+        ref = _generic_evolved_system()
+        space = pointer_space("M1")
+        reference_module._supplied.cache_clear()
+        tables = []
+        for zero in (0.0, -0.0):
+            candidates = [(StateVector(space, [zero, 1.0, 0.0]), StateVector(space, [0.0, 0.0, 1.0]))]
+            tables.append(table_bits(joint_distribution([("M1",)], ref, candidates=candidates)))
+        info = reference_module._supplied.cache_info()
+        assert (info.misses, info.currsize) == (2, 2) and tables[0] == tables[1]
+
+    def test_cold_and_hit_outputs_are_byte_equal(self):
+        for _, tables, reference, candidates in several_table_cases():
+            reference_module._plan.cache_clear()
+            reference_module._supplied.cache_clear()
+            cold = [table_bits(dist) for dist in joint_distributions(tables, reference, candidates=candidates)]
+            frozen = tuple(tuple(tuple(system) for system in systems) for systems in tables)
+            for given in (frozen, frozen, tables):
+                assert [table_bits(dist) for dist in joint_distributions(given, reference, candidates=candidates)] == cold
+            assert reference_module._plan.cache_info()[:2] == (1, 1)
+            assert reference_module._supplied.cache_info().hits == (0 if candidates is None else 3)
+
+    @pytest.mark.parametrize(
+        "tables, error, message",
+        [
+            (((("X1",),),), UnknownLabel, "label 'X1' not in space"),
+            ((((),),), UnknownLabel, "a subsystem must name at least one label"),
+            (((("M1",),), ()), ValueError, "at least one subsystem is required"),
+            (((("M1", "P1"), ("P1",)),), NonDisjointSystems, "systems P1\\+M1 and P1 share labels \\['P1'\\]"),
+        ],
+        ids=["unknown", "empty-system", "empty-table", "overlap"],
+    )
+    def test_bad_tables_keep_their_errors(self, tables, error, message):
+        ref = _generic_evolved_system()
+        listed = [[list(system) for system in systems] for systems in tables]
+        refusals = []
+        for given in (tables, tables, listed):
+            with pytest.raises(error, match=message) as raised:
+                joint_distributions(given, ref)
+            refusals.append((type(raised.value), str(raised.value)))
+        assert refusals[0] == refusals[1] == refusals[2]
+
+    def test_bad_candidates_keep_their_errors(self):
+        ref = _generic_evolved_system()
+        outcomes = pointer_outcome_states("M1")
+        space = pointer_space("M1")
+        cases = [
+            ([[5]], "candidate 0 for M1 must be a StateVector, got 5"),
+            ([pointer_outcome_states("M2")], "candidate 0 for M1 is on SpaceRegistry\\(M2:3\\)"),
+            ([(outcomes[0], StateVector(space, [0.0, 1.0, 1.0], normalize=True))], "candidates for M1 are not orthogonal"),
+            ([turned_outcomes("M1", 1e-6)], "candidate 0 for M1 is not an eigenstate"),
+        ]
+        for candidates, message in cases:
+            refusals = []
+            for _ in range(2):
+                with pytest.raises(ValueError, match=message) as raised:
+                    joint_distribution([("M1",)], ref, candidates=candidates)
+                refusals.append(str(raised.value))
+            assert refusals[0] == refusals[1]

@@ -1,21 +1,31 @@
 """Decision oracles for the validation screens.
 
 ``linalg._density_rules`` settles the eigenvalue rule by a Gershgorin bound
-and sends only the members the bound leaves open to ``eigvalsh``;
-``JointDistribution`` decides its rules from one min and one sum and walks
-them one by one only when that test fails.  Both must reach the decisions
-of the routes in ``oracles`` member by member, with the same messages.
+and sends only the members the bound leaves open to ``eigvalsh``, and a
+stack that passes costs whole-stack reductions; ``reference._eigenstates``
+passes a stack on two products over the ket axis; ``JointDistribution``
+decides its rules from one min over the whole table and one sum per member
+and walks them one by one only when that test fails.  All must reach the
+decisions of the routes in ``oracles`` member by member, with the same
+messages and the same first refusal.
 """
 
 import numpy as np
 import pytest
 
-from qrs_sim import bell
+from qrs_sim import bell, cli, reference
 from qrs_sim.errors import NotHermitian
 from qrs_sim.linalg import PSD_TOL, DensityOperator, SpaceRegistry, StateVector, _check, _density_rules, _pure_reduced, tensor_product
-from qrs_sim.reference import JointDistribution
+from qrs_sim.reference import EIGENSTATE_TOL, JointDistribution, ReferenceSystem, _candidate_kets
 
-from oracles import density_rules_by_eigvalsh, table_rules_by_walk
+from oracles import (
+    candidate_kets_by_system,
+    density_rules_by_eigvalsh,
+    density_rules_per_member,
+    eigenstates_by_norm,
+    table_rules_by_walk,
+    table_rules_per_member,
+)
 
 DIMS = (1, 2, 3, 6, 9)
 
@@ -38,17 +48,19 @@ def refusal(check):
 
 def assert_same_decisions(mat: np.ndarray) -> list:
     """Equal errors and ``ok`` arrays rule by rule, equal messages for every
-    failing member, and the same first refusal; returns the oracle's oks."""
-    new, old = _density_rules(mat), density_rules_by_eigvalsh(mat)
-    assert len(new) == len(old)
-    for (ok, error, message), (ok_old, error_old, message_old) in zip(new, old):
-        assert error is error_old
-        assert ok.shape == ok_old.shape and (ok == ok_old).all()
-        for i in failing(ok_old):
-            assert message(i) == message_old(i)
-    if mat.ndim <= 3:
-        walk = lambda rules: lambda: [_check(*rule) for rule in rules]  # noqa: E731
-        assert refusal(walk(new)) == refusal(walk(old))
+    failing member, and the same first refusal, against both the one-
+    ``eigvalsh`` route and the per-member forms; returns the oracle's oks."""
+    new = _density_rules(mat)
+    for old in (density_rules_by_eigvalsh(mat), density_rules_per_member(mat)):
+        assert len(new) == len(old)
+        for (ok, error, message), (ok_old, error_old, message_old) in zip(new, old):
+            assert error is error_old
+            assert ok.shape == ok_old.shape and (ok == ok_old).all()
+            for i in failing(ok_old):
+                assert message(i) == message_old(i)
+        if mat.ndim <= 3:
+            walk = lambda rules: lambda: [_check(*rule) for rule in rules]  # noqa: E731
+            assert refusal(walk(new)) == refusal(walk(old))
     return [ok for ok, _, _ in old]
 
 
@@ -141,6 +153,8 @@ def test_hermiticity_residual_just_under_the_tolerance():
         stars.append(star)
     hermitian, _, psd = assert_same_decisions(np.array(stars))
     assert hermitian.all() and psd.tolist() == [False, True, True, False]
+    # alone, a star is the whole stack, so its worst residual must widen the screen
+    assert [bool(assert_same_decisions(star)[2]) for star in stars] == psd.tolist()
     # a skew part on the first subdiagonal, just under and just over the tolerance
     rho = random_densities(np.random.default_rng(5), 1, 6, 6)[0]
     skewed = np.array([rho + residual * 1j * np.diag(np.ones(5), -1) for residual in (0.999e-12, 1.001e-12)])
@@ -224,5 +238,130 @@ def test_table_rules_match_the_walk():
     for axes, table in table_cases():
         expected = refusal(lambda: table_rules_by_walk(axes, table))
         assert refusal(lambda: JointDistribution(axes, table)) == expected
+        assert refusal(lambda: table_rules_per_member(axes, table)) == expected
         refused += expected is not None
     assert refused >= 20
+
+
+# --------------------------------------------------------------------------
+# whole-stack reductions on a passing stack
+
+
+def good_stack(d: int) -> np.ndarray:
+    """100 random density matrices of dimension ``d``, a mix of ranks."""
+    rng = np.random.default_rng(1000 + d)
+    return np.concatenate([random_densities(rng, 50, d, d), random_densities(rng, 50, d, max(1, d // 2))])
+
+
+FAULTS = {
+    "hermiticity": lambda m: m + 2e-12 * np.eye(len(m), k=1),
+    "trace": lambda m: m + 2e-12 * np.diag(np.eye(len(m))[0]),
+    "eigenvalue": lambda m: np.diag([1.0 + 2e-12, -2e-12] + [0.0] * (len(m) - 2)).astype(complex),
+    "nan": lambda m: np.where(np.eye(len(m), dtype=bool) & (np.arange(len(m)) == 0), np.nan, m),
+    "inf": lambda m: np.where(np.eye(len(m), k=len(m) - 1, dtype=bool), np.inf, m),
+}
+
+
+@pytest.mark.parametrize("member", [0, 57, 99])
+@pytest.mark.parametrize("fault", list(FAULTS))
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_one_bad_member_among_a_hundred(d, fault, member):
+    stack = good_stack(d)
+    stack[member] = FAULTS[fault](stack[member])
+    oks = assert_same_decisions(stack)
+    assert [i for ok in oks for i in failing(ok)] and all(i in ((member,), ()) for ok in oks for i in failing(ok))
+    assert_same_decisions(stack.reshape(4, 25, d, d))
+
+
+def _negative(t):
+    t = t.copy()
+    t[1, 1] += t[0, 0] + 2e-12
+    t[0, 0] = -2e-12
+    return t
+
+
+TABLE_FAULTS = {
+    "negative": _negative,
+    "sum": lambda t: t * (1.0 + 2e-10),
+    "nan": lambda t: np.where([[True, False], [False, False]], np.nan, t),
+    "inf": lambda t: np.where([[False, True], [False, False]], np.inf, t),
+}
+
+
+@pytest.mark.parametrize("member", [0, 57, 99])
+@pytest.mark.parametrize("fault", list(TABLE_FAULTS))
+def test_one_bad_table_among_a_hundred(fault, member):
+    table = np.random.default_rng(member).dirichlet(np.ones(4), size=100).reshape(100, 2, 2)
+    table[member] = TABLE_FAULTS[fault](table[member])
+    axes = ((("M1",), 2), (("M2",), 2))
+    expected = refusal(lambda: table_rules_per_member(axes, table))
+    assert expected is not None and expected[1].startswith(f"batch member {member}: ")
+    assert refusal(lambda: JointDistribution(axes, table)) == expected == refusal(lambda: table_rules_by_walk(axes, table))
+
+
+def test_bound_exactly_at_half_the_tolerance():
+    # a member whose own bound is exactly -PSD_TOL/2 clears the screen alone;
+    # a second member's Hermiticity residual widens it past the edge, so the
+    # stack goes member by member, and eigvalsh still sees neither
+    edge = np.diag([-PSD_TOL / 2, 0.5 + PSD_TOL / 4, 0.5 + PSD_TOL / 4]).astype(complex)
+    skewed = random_densities(np.random.default_rng(4), 1, 3, 3)[0] + 9e-13j * np.eye(3, k=-1)
+    for stack in (edge[None], np.array([edge, skewed])):
+        assert gershgorin(edge[None])[0] == -PSD_TOL / 2
+        oks = assert_same_decisions(stack)
+        assert all(ok.all() for ok in oks)
+    past = edge + np.diag([-np.spacing(PSD_TOL / 2), np.spacing(PSD_TOL / 2), 0.0])
+    assert all(ok.all() for ok in assert_same_decisions(past[None]))
+
+
+@pytest.mark.parametrize("scenario", ["intro-measurement", "pair-correlations", "bell", "bell-ancilla", "chsh-scan"])
+def test_no_eigvalsh_on_a_passing_route(scenario, monkeypatch):
+    calls, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: calls.append(mat.shape) or eigvalsh(mat))
+    report = cli.run(cli.build_spec({"scenario": scenario, "a": "0.6", "b": "0,0.8", "theta1": "0.3", "theta2": "-1.1"}))
+    assert report.ok and calls == []
+
+
+@pytest.mark.parametrize("edge", [EIGENSTATE_TOL, EIGENSTATE_TOL / 2], ids=["tolerance", "screen"])
+def test_eigenstate_residual_at_the_edges(edge):
+    # with two eigenvalues 0.6 apart, a ket turned by t has a residual of
+    # norm about 0.6 t; t walks across the tolerance and the screen's edge
+    rng = np.random.default_rng(21)
+    d, n = 4, 2
+    basis = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    rho = basis @ np.diag([0.7, 0.1, 0.2, 0.0]) @ basis.conj().T
+    verdicts = []
+    for k in range(-6, 7):
+        angle = edge / 0.6 * (1.0 + k * 2e-3)
+        kets = basis[:, :n] @ np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+        stack = np.array([kets, kets[:, ::-1]])
+        images = np.array([rho @ kets, rho @ kets[:, ::-1]])[:, None].repeat(3, axis=1)
+        key = tuple((k_.T.tobytes(), (n, d)) for k_ in stack)
+        (_, _, operands), = reference._supplied(key)[1]
+        got, expected = reference._eigenstates(images, *operands), eigenstates_by_norm(images, stack)
+        assert got.shape == expected.shape and (got == expected).all()
+        verdicts.append(bool(expected.all()))
+    if edge == EIGENSTATE_TOL:
+        assert verdicts[0] and not verdicts[-1]
+    else:
+        assert all(verdicts)
+
+
+def test_eigenstate_refusals_match_the_per_system_oracle():
+    # a pointer's outcome kets turned just under and just over the tolerance,
+    # through the whole supplied-candidate check
+    config = bell.ExperimentConfig(0.6, 0.8j, (0.3, 1.2, -2.0), (0.9, -0.4, 2.6))
+    ref = ReferenceSystem(bell.evolve_experiment(config), isolated=True)
+    systems = [("M1",), ("M2",)]
+    outcomes = [bell.pointer_outcome_states(label) for label in ("M1", "M2")]
+    p = np.abs(bell.correlation_direct(config).probabilities.sum(axis=2))
+    gap = float(np.abs(p[:, 0] - p[:, 1]).max())
+    refused = []
+    for scale in (0.9, 0.999, 1.001, 1.1):
+        angle = EIGENSTATE_TOL / gap * scale
+        space = bell.pointer_space("M1")
+        turned = (StateVector(space, [0.0, np.cos(angle), np.sin(angle)]), StateVector(space, [0.0, -np.sin(angle), np.cos(angle)]))
+        candidates = [turned, outcomes[1]]
+        got = refusal(lambda: _candidate_kets(systems, ref, candidates))
+        assert got == refusal(lambda: candidate_kets_by_system(systems, ref, candidates))
+        refused.append(got is not None)
+    assert refused[0] is False and refused[-1] is True
