@@ -303,24 +303,20 @@ def _density_rules(mat: np.ndarray) -> list:
     # NaN fails it silently
     d = mat.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        skew, magnitudes = np.abs(mat - mat.conj().swapaxes(-1, -2)), np.abs(mat)
-        diagonal = np.diagonal(mat, axis1=-2, axis2=-1)
+        skew, diagonal = np.abs(mat - mat.conj().swapaxes(-1, -2)), np.diagonal(mat, axis1=-2, axis2=-1)
         worst, trace = skew.max(), diagonal.sum(axis=-1)
         # Gershgorin (1931) on the matrix eigvalsh reads, its lower triangle
         # mirrored: its off-diagonal row sums exceed the stored ones by at
         # most (d - 1) herm <= (d - 1) worst.  Under the PSD_TOL/2 margin the
         # eigensolver's rounding, about d eps, cannot refuse a member the bound
         # clears, nor can the order of row sums that no message prints.
-        rows = (magnitudes.reshape(-1, d) @ np.ones(d)).reshape(diagonal.shape) - np.abs(diagonal)
-        bound = (diagonal.real - rows - (d - 1) * worst).min()
+        low = diagonal.real - (np.abs(mat).reshape(-1, d) @ np.ones(d)).reshape(diagonal.shape) + np.abs(diagonal)
         # a passing stack shares one all-true array, and no message is read
         hermitian = unit = psd = np.abs(trace - 1.0) <= TRACE_TOL
-        if not (worst <= HERMITIAN_TOL and unit.all() and bound >= -PSD_TOL / 2):
+        if not (worst <= HERMITIAN_TOL and unit.all() and (low - (d - 1) * worst).min() >= -PSD_TOL / 2):
             herm = skew.max(axis=(-2, -1))
-            rows = magnitudes.sum(axis=-1) - np.abs(diagonal) + (d - 1) * herm[..., None]
-            bound = (diagonal.real - rows).min(axis=-1)
             hermitian = herm <= HERMITIAN_TOL
-            unsettled = hermitian & unit & ~(bound >= -PSD_TOL / 2)
+            unsettled = hermitian & unit & ~((low - (d - 1) * herm[..., None]).min(axis=-1) >= -PSD_TOL / 2)
             smallest = np.zeros(unsettled.shape)
             if unsettled.any():
                 smallest[unsettled] = np.linalg.eigvalsh(mat[unsettled])[:, 0]

@@ -210,11 +210,6 @@ def _check_disjoint(systems: list[tuple[str, ...]]) -> None:
                 )
 
 
-def _plannable(tables) -> bool:
-    """Whether ``tables`` is tuples down to string labels, the form a plan is cached for."""
-    return type(tables) is tuple and all(type(t) is tuple and all(type(s) is tuple and all(type(x) is str for x in s) for s in t) for t in tables)
-
-
 @lru_cache(maxsize=16)
 def _plan(space: SpaceRegistry, tables) -> tuple[tuple, tuple[tuple[str, ...], ...]]:
     """Each table's systems resolved on ``space`` and found pairwise
@@ -271,20 +266,20 @@ def _supplied(key: tuple[tuple[bytes, tuple[int, int]], ...]) -> tuple[tuple[np.
     """What supplied candidates, given by the bytes and ``(n, d)`` shape of
     each system's amplitudes, fix without a state: each system's read-only
     ``(d, n)`` kets and, per ket shape, its systems, whether each one's kets
-    are orthonormal within ``EIGENSTATE_TOL``, and ``_eigenstates``' operands."""
+    are orthonormal within ``EIGENSTATE_TOL``, their stack and ``_eigenstates``' screen."""
     kets = tuple(np.frombuffer(bits, dtype=complex).reshape(shape).T for bits, shape in key)
     groups = []
     for d, n in dict.fromkeys(columns.shape for columns in kets):
         group = tuple(j for j, columns in enumerate(kets) if columns.shape == (d, n))
         stack = np.array([kets[j] for j in group])
         orthonormal = (np.abs(stack.conj().swapaxes(-1, -2) @ stack - np.eye(n)) <= EIGENSTATE_TOL).all(axis=(-2, -1))
-        # each column's bra over a flat (d, n) image, its ket, and its squared parts' sum
+        # a flat (d, d) state times the screen is its flat (d, n) residual
+        # image - <ket|image> ket, with bras[i n + k, k] = conj(ket_k[i])
         bras = np.zeros((len(group), d * n, n), dtype=complex)
         bras[:, range(d * n), np.tile(range(n), d)] = stack.conj().reshape(len(group), -1)
-        operands = (stack, bras, bras.conj().swapaxes(-1, -2), np.repeat(np.tile(np.eye(n), (d, 1)), 2, axis=0))
-        for array in operands:
-            array.flags.writeable = False
-        groups.append((group, tuple(orthonormal.tolist()), operands))
+        screen = np.kron(np.eye(d), stack) @ (np.eye(d * n) - bras @ bras.conj().swapaxes(-1, -2))
+        stack.flags.writeable = screen.flags.writeable = False
+        groups.append((group, tuple(orthonormal.tolist()), stack, screen))
     return kets, tuple(groups)
 
 
@@ -303,11 +298,10 @@ def _check_supplied(systems: list[tuple[str, ...]], state: StateVector, groups) 
     naming the state's batch member that fails.
     """
     lead, results = (state.batch,) if state.batch else (), []
-    for group, orthonormal, operands in groups:
-        g, d, n = operands[0].shape
-        rho = _pure_reduced(state, [systems[j] for j in group], d).reshape(g, *lead, d, d)
-        images = (rho.reshape(g, -1, d) @ operands[0]).reshape(*rho.shape[:-1], n)
-        results.append((group, _density_rules(rho), orthonormal, _eigenstates(images, *operands)))
+    for group, orthonormal, stack, screen in groups:
+        d = stack.shape[1]
+        rho = _pure_reduced(state, [systems[j] for j in group], d).reshape(len(group), *lead, d, d)
+        results.append((group, _density_rules(rho), orthonormal, _eigenstates(rho, stack, screen)))
     if all(all(ok.all() for ok, _, _ in density) and all(orthonormal) and eigen.all() for _, density, orthonormal, eigen in results):
         return
     for j, system in enumerate(systems):
@@ -321,20 +315,19 @@ def _check_supplied(systems: list[tuple[str, ...]], state: StateVector, groups) 
         _check(ok.all(axis=-1), ValueError, lambda i: f"candidate {np.argmin(ok[i])} for {name} is not an eigenstate")
 
 
-def _eigenstates(images: np.ndarray, stack: np.ndarray, bras: np.ndarray, placed: np.ndarray, fold: np.ndarray) -> np.ndarray:
+def _eigenstates(rho: np.ndarray, stack: np.ndarray, screen: np.ndarray) -> np.ndarray:
     """Whether each ket of the ``(G, d, n)`` ``stack`` has a residual
-    ``image - <ket|image> ket`` of norm within ``EIGENSTATE_TOL``, given its
-    ``(G, ..., d, n)`` ``images``.  A stack passes when the squared norms, two
-    products over the ket axis with ``_supplied``'s operands, are within a
-    quarter of the squared tolerance: no message reads them, and their
-    rounding, under 1e-15 on unit kets, cannot carry a norm over half of it.
-    Only the rest take each norm."""
+    ``image - <ket|image> ket`` of norm within ``EIGENSTATE_TOL``, its image
+    under its system's ``(G, ..., d, d)`` states ``rho``.  A stack passes when
+    every real part of the residuals, one product with ``_supplied``'s
+    ``screen``, is within TOL / (2 sqrt(2 d)): each norm is then within
+    TOL/2, which no rounding of a norm that no message reads carries over
+    TOL.  Only the rest take each weight and ``np.linalg.norm``."""
     g, d, n = stack.shape
-    flat = images.reshape(g, -1, d * n)
-    residual = flat - (flat @ bras) @ placed
-    if ((residual.view(float) ** 2).reshape(-1, 2 * d * n) @ fold).max() <= (EIGENSTATE_TOL / 2) ** 2:
-        return np.ones((*images.shape[:-2], n), dtype=bool)
-    kets = stack.reshape(g, *(1,) * (images.ndim - 3), d, n)
+    if np.abs((rho.reshape(g, -1, d * d) @ screen).view(float)).max() <= EIGENSTATE_TOL / 2 / np.sqrt(2 * d):
+        return np.ones((*rho.shape[:-2], n), dtype=bool)
+    images = (rho.reshape(g, -1, d) @ stack).reshape(*rho.shape[:-1], n)
+    kets = stack.reshape(g, *(1,) * (rho.ndim - 3), d, n)
     weights = (kets.conj() * images).sum(axis=-2)
     return np.linalg.norm(images - weights[..., None, :] * kets, axis=-2) <= EIGENSTATE_TOL
 
@@ -386,7 +379,9 @@ def joint_distributions(tables, reference: ReferenceSystem, *, candidates=None) 
     given as tuples is made once per registry (``_plan``)."""
     if not reference.isolated:
         raise NotIsolated("joint probabilities are defined only for isolated reference systems")
-    tables, distinct = (_plan if _plannable(tables) else _plan.__wrapped__)(reference.space, tables)
+    # a plan is cached for tuples down to string labels, which hash by value
+    plannable = type(tables) is tuple and all(type(t) is tuple and all(type(s) is tuple and all(type(x) is str for x in s) for s in t) for t in tables)
+    tables, distinct = (_plan if plannable else _plan.__wrapped__)(reference.space, tables)
     bras_of = {system: kets.conj() for system, kets in zip(distinct, _candidate_kets(list(distinct), reference, candidates))}
     out = []
     for systems in tables:

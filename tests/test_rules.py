@@ -3,7 +3,7 @@
 ``linalg._density_rules`` settles the eigenvalue rule by a Gershgorin bound
 and sends only the members the bound leaves open to ``eigvalsh``, and a
 stack that passes costs whole-stack reductions; ``reference._eigenstates``
-passes a stack on two products over the ket axis; ``JointDistribution``
+passes a stack on one product with a screen prepared with its kets; ``JointDistribution``
 decides its rules from one min over the whole table and one sum per member
 and walks them one by one only when that test fails.  All must reach the
 decisions of the routes in ``oracles`` member by member, with the same
@@ -315,16 +315,22 @@ def test_bound_exactly_at_half_the_tolerance():
 
 @pytest.mark.parametrize("scenario", ["intro-measurement", "pair-correlations", "bell", "bell-ancilla", "chsh-scan"])
 def test_no_eigvalsh_on_a_passing_route(scenario, monkeypatch):
-    calls, eigvalsh = [], np.linalg.eigvalsh
+    # nor a per-member eigenstate residual norm: the screen passes every
+    # built-in route's supplied candidates
+    calls, eigvalsh, norm = [], np.linalg.eigvalsh, np.linalg.norm
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: calls.append(mat.shape) or eigvalsh(mat))
+    monkeypatch.setattr(np.linalg, "norm", lambda x, axis=None: (axis == -2 and calls.append(x.shape)) or norm(x, axis=axis))
     report = cli.run(cli.build_spec({"scenario": scenario, "a": "0.6", "b": "0,0.8", "theta1": "0.3", "theta2": "-1.1"}))
     assert report.ok and calls == []
 
 
-@pytest.mark.parametrize("edge", [EIGENSTATE_TOL, EIGENSTATE_TOL / 2], ids=["tolerance", "screen"])
+@pytest.mark.parametrize(
+    "edge", [EIGENSTATE_TOL, EIGENSTATE_TOL / 2, EIGENSTATE_TOL / 2 / np.sqrt(8)], ids=["tolerance", "half", "screen"]
+)
 def test_eigenstate_residual_at_the_edges(edge):
     # with two eigenvalues 0.6 apart, a ket turned by t has a residual of
-    # norm about 0.6 t; t walks across the tolerance and the screen's edge
+    # norm about 0.6 t; t walks across the tolerance, half of it and the
+    # screen's edge on one real part, TOL / (2 sqrt(2 d))
     rng = np.random.default_rng(21)
     d, n = 4, 2
     basis = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
@@ -334,16 +340,36 @@ def test_eigenstate_residual_at_the_edges(edge):
         angle = edge / 0.6 * (1.0 + k * 2e-3)
         kets = basis[:, :n] @ np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
         stack = np.array([kets, kets[:, ::-1]])
-        images = np.array([rho @ kets, rho @ kets[:, ::-1]])[:, None].repeat(3, axis=1)
+        states = np.array([rho, rho])[:, None].repeat(3, axis=1)
         key = tuple((k_.T.tobytes(), (n, d)) for k_ in stack)
-        (_, _, operands), = reference._supplied(key)[1]
-        got, expected = reference._eigenstates(images, *operands), eigenstates_by_norm(images, stack)
+        (_, _, cached, screen), = reference._supplied(key)[1]
+        got, expected = reference._eigenstates(states, cached, screen), eigenstates_by_norm(states @ stack[:, None], stack)
         assert got.shape == expected.shape and (got == expected).all()
         verdicts.append(bool(expected.all()))
     if edge == EIGENSTATE_TOL:
         assert verdicts[0] and not verdicts[-1]
     else:
         assert all(verdicts)
+
+
+def test_eigenstate_residual_spread_over_every_part():
+    # rho = |phi><phi| + e (|u><phi| + |phi><u|) with u orthogonal to phi
+    # leaves phi the residual e u, whose 2 d real parts all have magnitude
+    # e / sqrt(2 d): the residual a per-part screen passes at the largest norm
+    d = 4
+    phi, u = np.full(d, 0.5, dtype=complex), np.array([1, -1, 1, -1]) * (1 + 1j) / np.sqrt(8)
+    stack = phi.reshape(1, d, 1)
+    key = ((phi.tobytes(), (1, d)),)
+    (_, _, cached, screen), = reference._supplied(key)[1]
+    verdicts = []
+    for scale in (0.5, 0.9, 0.999, 1.001, 1.1, 1.2):
+        e = EIGENSTATE_TOL * scale
+        rho = np.outer(phi, phi.conj()) + e * (np.outer(u, phi.conj()) + np.outer(phi, u.conj()))
+        states = rho[None, None].repeat(2, axis=1)
+        got, expected = reference._eigenstates(states, cached, screen), eigenstates_by_norm(states @ stack[:, None], stack)
+        assert got.shape == expected.shape == (1, 2, 1) and (got == expected).all()
+        verdicts.append(bool(expected.all()))
+    assert verdicts == [True, True, True, False, False, False]
 
 
 def test_eigenstate_refusals_match_the_per_system_oracle():
