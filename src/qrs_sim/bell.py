@@ -328,7 +328,7 @@ def pointer_tables(state: StateVector, *groups) -> list[JointDistribution]:
     analytic pointer outcome candidates injected, validated once per pointer."""
     pointers = dict.fromkeys(pointer for group in groups for pointer in group)
     return joint_distributions(
-        tuple(tuple((pointer,) for pointer in group) for group in groups),
+        [[(pointer,) for pointer in group] for group in groups],
         ReferenceSystem(state, isolated=True),
         candidates=[pointer_outcome_states(pointer) for pointer in pointers],
     )
@@ -359,7 +359,7 @@ def pair_distribution(config: ExperimentConfig) -> JointDistribution:
     equals diag(|c_1|^2, |c_2|^2)."""
     reference = ReferenceSystem(entangled_pair_state(config), isolated=True)
     return joint_distribution(
-        ((P1,), (P2,)),
+        [(P1,), (P2,)],
         reference,
         candidates=[particle_candidate_states(1), particle_candidate_states(2)],
     )

@@ -188,10 +188,10 @@ def _listed(values, name: str) -> tuple:
     return tuple(values)
 
 
-def _normalized_systems(systems, space: SpaceRegistry) -> list[tuple[str, ...]]:
+def _normalized_systems(systems, reference: ReferenceSystem) -> list[tuple[str, ...]]:
     out = []
     for system in _listed(systems, "systems"):
-        labels = space.resolve(system)
+        labels = reference.space.resolve(system)
         if not labels:
             raise UnknownLabel("a subsystem must name at least one label")
         out.append(labels)
@@ -208,18 +208,6 @@ def _check_disjoint(systems: list[tuple[str, ...]]) -> None:
                     f"labels {overlap}; no joint probability is defined for them",
                     overlap=overlap,
                 )
-
-
-@lru_cache(maxsize=16)
-def _plan(space: SpaceRegistry, tables) -> tuple[tuple, tuple[tuple[str, ...], ...]]:
-    """Each table's systems resolved on ``space`` and found pairwise
-    disjoint, and the distinct systems in order of first appearance."""
-    tables = [_normalized_systems(systems, space) for systems in _listed(tables, "tables")]
-    for systems in tables:
-        if not systems:
-            raise ValueError("at least one subsystem is required")
-        _check_disjoint(systems)
-    return tuple(map(tuple, tables)), tuple(dict.fromkeys(system for systems in tables for system in systems))
 
 
 def _candidate_kets(
@@ -266,19 +254,24 @@ def _supplied(key: tuple[tuple[bytes, tuple[int, int]], ...]) -> tuple[tuple[np.
     """What supplied candidates, given by the bytes and ``(n, d)`` shape of
     each system's amplitudes, fix without a state: each system's read-only
     ``(d, n)`` kets and, per ket shape, its systems, whether each one's kets
-    are orthonormal within ``EIGENSTATE_TOL``, their stack and ``_eigenstates``' screen."""
+    are orthonormal within ``EIGENSTATE_TOL``, their stack and, for d <= 8,
+    ``_eigenstates``' screen (else ``None``)."""
     kets = tuple(np.frombuffer(bits, dtype=complex).reshape(shape).T for bits, shape in key)
     groups = []
     for d, n in dict.fromkeys(columns.shape for columns in kets):
         group = tuple(j for j, columns in enumerate(kets) if columns.shape == (d, n))
-        stack = np.array([kets[j] for j in group])
+        stack, screen = np.array([kets[j] for j in group]), None
+        stack.flags.writeable = False
         orthonormal = (np.abs(stack.conj().swapaxes(-1, -2) @ stack - np.eye(n)) <= EIGENSTATE_TOL).all(axis=(-2, -1))
         # a flat (d, d) state times the screen is its flat (d, n) residual
-        # image - <ket|image> ket, with bras[i n + k, k] = conj(ket_k[i])
-        bras = np.zeros((len(group), d * n, n), dtype=complex)
-        bras[:, range(d * n), np.tile(range(n), d)] = stack.conj().reshape(len(group), -1)
-        screen = np.kron(np.eye(d), stack) @ (np.eye(d * n) - bras @ bras.conj().swapaxes(-1, -2))
-        stack.flags.writeable = screen.flags.writeable = False
+        # image - <ket|image> ket, with bras[i n + k, k] = conj(ket_k[i]).  It
+        # holds d^3 n entries and a product with it costs B d^3 n, so above
+        # d = 8, where it stops beating the contraction, none is built.
+        if d <= 8:
+            bras = np.zeros((len(group), d * n, n), dtype=complex)
+            bras[:, range(d * n), np.tile(range(n), d)] = stack.conj().reshape(len(group), -1)
+            screen = np.kron(np.eye(d), stack) @ (np.eye(d * n) - bras @ bras.conj().swapaxes(-1, -2))
+            screen.flags.writeable = False
         groups.append((group, tuple(orthonormal.tolist()), stack, screen))
     return kets, tuple(groups)
 
@@ -315,16 +308,17 @@ def _check_supplied(systems: list[tuple[str, ...]], state: StateVector, groups) 
         _check(ok.all(axis=-1), ValueError, lambda i: f"candidate {np.argmin(ok[i])} for {name} is not an eigenstate")
 
 
-def _eigenstates(rho: np.ndarray, stack: np.ndarray, screen: np.ndarray) -> np.ndarray:
+def _eigenstates(rho: np.ndarray, stack: np.ndarray, screen: np.ndarray | None) -> np.ndarray:
     """Whether each ket of the ``(G, d, n)`` ``stack`` has a residual
     ``image - <ket|image> ket`` of norm within ``EIGENSTATE_TOL``, its image
-    under its system's ``(G, ..., d, d)`` states ``rho``.  A stack passes when
-    every real part of the residuals, one product with ``_supplied``'s
-    ``screen``, is within TOL / (2 sqrt(2 d)): each norm is then within
+    under its system's ``(G, ..., d, d)`` states ``rho``.  Given ``_supplied``'s
+    ``screen``, a stack passes when every real part of the residuals, one
+    product with it, is within TOL / (2 sqrt(2 d)): each norm is then within
     TOL/2, which no rounding of a norm that no message reads carries over
-    TOL.  Only the rest take each weight and ``np.linalg.norm``."""
+    TOL.  Only the rest, and stacks without a screen, take each weight and
+    ``np.linalg.norm``, costing B d^2 n."""
     g, d, n = stack.shape
-    if np.abs((rho.reshape(g, -1, d * d) @ screen).view(float)).max() <= EIGENSTATE_TOL / 2 / np.sqrt(2 * d):
+    if screen is not None and np.abs((rho.reshape(g, -1, d * d) @ screen).view(float)).max() <= EIGENSTATE_TOL / 2 / np.sqrt(2 * d):
         return np.ones((*rho.shape[:-2], n), dtype=bool)
     images = (rho.reshape(g, -1, d) @ stack).reshape(*rho.shape[:-1], n)
     kets = stack.reshape(g, *(1,) * (rho.ndim - 3), d, n)
@@ -368,21 +362,23 @@ def joint_distribution(systems, reference: ReferenceSystem, *, candidates=None) 
     """Full probability table over all candidate index tuples of the given
     pairwise-disjoint subsystems, ``(B, n_1, ..., n_k)`` for a batched
     reference state.  Sums to 1 within 1e-10."""
-    return joint_distributions((systems,), reference, candidates=candidates)[0]
+    return joint_distributions([systems], reference, candidates=candidates)[0]
 
 
 def joint_distributions(tables, reference: ReferenceSystem, *, candidates=None) -> list[JointDistribution]:
     """The ``joint_distribution`` of each list of subsystems in ``tables``
     on one reference state.  Disjointness is a rule per table; the distinct
     systems, in order of first appearance, take one list of ``candidates``
-    each, built or validated once for all the tables.  The plan of tables
-    given as tuples is made once per registry (``_plan``)."""
+    each, built or validated once for all the tables."""
     if not reference.isolated:
         raise NotIsolated("joint probabilities are defined only for isolated reference systems")
-    # a plan is cached for tuples down to string labels, which hash by value
-    plannable = type(tables) is tuple and all(type(t) is tuple and all(type(s) is tuple and all(type(x) is str for x in s) for s in t) for t in tables)
-    tables, distinct = (_plan if plannable else _plan.__wrapped__)(reference.space, tables)
-    bras_of = {system: kets.conj() for system, kets in zip(distinct, _candidate_kets(list(distinct), reference, candidates))}
+    tables = [_normalized_systems(systems, reference) for systems in _listed(tables, "tables")]
+    for systems in tables:
+        if not systems:
+            raise ValueError("at least one subsystem is required")
+        _check_disjoint(systems)
+    distinct = list(dict.fromkeys(system for systems in tables for system in systems))
+    bras_of = {system: kets.conj() for system, kets in zip(distinct, _candidate_kets(distinct, reference, candidates))}
     out = []
     for systems in tables:
         bras = [bras_of[system] for system in systems]

@@ -120,7 +120,7 @@ def joint_distribution_by_projectors(systems, reference: ReferenceSystem, *, can
     reduced state of the union of the systems."""
     if not reference.isolated:
         raise NotIsolated("joint probabilities are defined only for isolated reference systems")
-    systems = _normalized_systems(systems, reference.space)
+    systems = _normalized_systems(systems, reference)
     if not systems:
         raise ValueError("at least one subsystem is required")
     _check_disjoint(systems)
@@ -263,7 +263,7 @@ def apply_stacked(op: Operator, state: StateVector) -> StateVector:
 def joint_table_by_tensordot(systems, reference: ReferenceSystem, *, candidates=None) -> np.ndarray:
     """The ``joint_distribution`` table, each system contracted by
     ``np.tensordot`` with its conjugated kets."""
-    systems = _normalized_systems(systems, reference.space)
+    systems = _normalized_systems(systems, reference)
     kets = _candidate_kets(systems, reference, candidates)
     tensor = _grouped(reference.state, [label for system in systems for label in system])
     tensor = tensor.reshape(len(tensor), *(len(columns) for columns in kets), -1)

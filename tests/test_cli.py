@@ -667,7 +667,7 @@ class TestScanAngles:
 def test_coefficient_free_caches_stay_bounded():
     for stop in range(10):
         run(build_spec({"scenario": "chsh-scan", "grid": f"0,{1 + stop / 2},25"}))
-        for cache in (cli._scan_angles, bell._angle_work, linalg._moves, reference._plan, reference._supplied):
+        for cache in (cli._scan_angles, bell._angle_work, linalg._moves, reference._supplied):
             assert cache.cache_info().currsize <= cache.cache_info().maxsize
     assert bell._pair_basis.cache_info().currsize <= 2
 
@@ -684,7 +684,7 @@ def test_import_fills_no_cache():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     caches = json.loads(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout)
     assert {"qrs_sim.bell._space", "qrs_sim.bell._angle_work", "qrs_sim.bell.pointer_ready_state", "qrs_sim.cli._build_parser"} <= caches.keys()
-    assert {"qrs_sim.bell._pair_basis", "qrs_sim.cli._scan_angles", "qrs_sim.linalg._moves", "qrs_sim.reference._plan", "qrs_sim.reference._supplied"} <= caches.keys()
+    assert {"qrs_sim.bell._pair_basis", "qrs_sim.cli._scan_angles", "qrs_sim.linalg._moves", "qrs_sim.reference._supplied"} <= caches.keys()
     assert caches == dict.fromkeys(caches, 0)
 
 

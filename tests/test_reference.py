@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -584,7 +586,7 @@ class TestSuppliedCandidates:
     @pytest.mark.parametrize("case", supplied_candidate_cases(), ids=lambda case: case[0])
     def test_stacked_pass_matches_per_system_oracle(self, case):
         _, systems, reference, candidates, refusal = case
-        systems = _normalized_systems(systems, reference.space)
+        systems = _normalized_systems(systems, reference)
         got = checked(lambda: _candidate_kets(systems, reference, candidates))
         assert got == checked(lambda: candidate_kets_by_system(systems, reference, candidates))
         assert got == ((ValueError, refusal) if refusal else got)
@@ -613,7 +615,7 @@ class TestSuppliedCandidates:
 
         for name, systems, reference, candidates, refusal in supplied_candidate_cases():
             if refusal is None:
-                systems = _normalized_systems(systems, reference.space)
+                systems = _normalized_systems(systems, reference)
                 for target in systems:
                     for member in sorted({0, (reference.state.batch or 1) - 1}):
                         monkeypatch.setattr("qrs_sim.linalg._pure_reduced", faulty(target, member))
@@ -637,7 +639,7 @@ class TestSuppliedCandidates:
             if refusal is None:
                 calls.clear()
                 joint_distribution(systems, reference, candidates=candidates)
-                systems = _normalized_systems(systems, reference.space)
+                systems = _normalized_systems(systems, reference)
                 shapes = {}
                 for system, states in zip(systems, candidates):
                     shapes.setdefault((reference.space.restrict(system).dim, len(states)), []).append(system)
@@ -650,7 +652,7 @@ class TestSuppliedCandidates:
         keys, prepare = [], reference_module._supplied
         monkeypatch.setattr(reference_module, "_supplied", lambda key: keys.append(key) or prepare(key))
         for _, systems, reference, candidates, _ in supplied_candidate_cases():
-            checked(lambda: _candidate_kets(_normalized_systems(systems, reference.space), reference, candidates))
+            checked(lambda: _candidate_kets(_normalized_systems(systems, reference), reference, candidates))
         verdicts = set()
         for key in keys:
             for _, verdict, stack, _ in prepare(key)[1]:
@@ -776,8 +778,8 @@ class TestSeveralTables:
 
 
 class TestPreparedOnce:
-    """What no state changes is prepared once: the plan of tables given as
-    tuples once per registry, and supplied candidates once per set of bits."""
+    """What no state changes is prepared once: supplied candidates once per
+    set of bits."""
 
     def test_caches_stay_bounded(self):
         ref = _generic_evolved_system()
@@ -785,7 +787,7 @@ class TestPreparedOnce:
         subsets = [tuple(label for bit, label in zip(format(k, "04b"), labels) if bit == "1") for k in range(1, 16)]
         for subset in subsets[:10]:
             joint_distributions(((subset,),), ref)
-            assert reference_module._plan.cache_info().currsize <= reference_module._plan.cache_info().maxsize
+            assert reference_module._supplied.cache_info().currsize <= reference_module._supplied.cache_info().maxsize
         for k in range(10):
             joint_distribution([("M1",)], ref, candidates=[turned_outcomes("M1", k * 1e-14)])
             assert reference_module._supplied.cache_info().currsize <= reference_module._supplied.cache_info().maxsize
@@ -801,6 +803,27 @@ class TestPreparedOnce:
             with pytest.raises(ValueError, match="read-only"):
                 array[..., 0, 0] = 1.0
 
+    @pytest.mark.parametrize("ancilla", [False, True], ids=["experiment-36", "ancilla-324"])
+    def test_full_space_basis_is_checked_without_a_screen(self, ancilla, rng):
+        # a basis of the whole space whose first ket is the pure state: its
+        # eigenstates, and a turned copy is not; the cached entry holds the
+        # kets and their stack but no d^3 n screen, which would be 176 GB at 324
+        config = ExperimentConfig(a=0.6, b=0.8j, theta1=0.4, theta2=1.3)
+        ref = ReferenceSystem((ancilla_experiment if ancilla else evolve_experiment)(config), isolated=True)
+        psi, d = ref.state.amplitudes, ref.space.dim
+        basis = np.linalg.qr(np.column_stack([psi, rng.normal(size=(d, d - 1)) + 1j * rng.normal(size=(d, d - 1))]))[0]
+        system = ref.space.labels
+        reference_module._supplied.cache_clear()
+        dist = joint_distribution([system], ref, candidates=[[StateVector(ref.space, ket) for ket in basis.T]])
+        assert dist.probabilities.shape == (d,) and abs(dist.probabilities[0] - 1.0) < 1e-12
+        key = ((basis.T.tobytes(), (d, d)),)
+        kets, ((group, orthonormal, stack, screen),) = reference_module._supplied(key)
+        assert reference_module._supplied.cache_info()[:2] == (1, 1) and orthonormal == (True,) and screen is None
+        assert sum(array.nbytes for array in (*kets, stack)) == 2 * basis.nbytes
+        turned = basis @ np.linalg.qr(rng.normal(size=(d, d)))[0]
+        with pytest.raises(ValueError, match=re.escape(f"candidate 0 for {'+'.join(system)} is not an eigenstate")):
+            joint_distribution([system], ref, candidates=[[StateVector(ref.space, ket) for ket in turned.T]])
+
     def test_signed_zero_candidates_get_their_own_entry(self):
         ref = _generic_evolved_system()
         space = pointer_space("M1")
@@ -814,14 +837,11 @@ class TestPreparedOnce:
 
     def test_cold_and_hit_outputs_are_byte_equal(self):
         for _, tables, reference, candidates in several_table_cases():
-            reference_module._plan.cache_clear()
             reference_module._supplied.cache_clear()
             cold = [table_bits(dist) for dist in joint_distributions(tables, reference, candidates=candidates)]
             frozen = tuple(tuple(tuple(system) for system in systems) for systems in tables)
-            # a tuple of iterators hashes by identity, so it is planned afresh
             for given in (frozen, frozen, tables, tuple(map(iter, frozen))):
                 assert [table_bits(dist) for dist in joint_distributions(given, reference, candidates=candidates)] == cold
-            assert reference_module._plan.cache_info()[:2] == (1, 1)
             assert reference_module._supplied.cache_info().hits == (0 if candidates is None else 4)
 
     @pytest.mark.parametrize(
