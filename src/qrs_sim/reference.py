@@ -265,8 +265,9 @@ def _supplied(key: tuple[tuple[bytes, tuple[int, int]], ...]) -> tuple[tuple[np.
         orthonormal = (np.abs(stack.conj().swapaxes(-1, -2) @ stack - np.eye(n)) <= EIGENSTATE_TOL).all(axis=(-2, -1))
         # a flat (d, d) state times the screen is its flat (d, n) residual
         # image - <ket|image> ket, with bras[i n + k, k] = conj(ket_k[i]).  It
-        # holds d^3 n entries and a product with it costs B d^3 n, so above
-        # d = 8, where it stops beating the contraction, none is built.
+        # holds d^3 n entries and a product with it costs B d^3 n, against
+        # B d^2 n for the contraction, so it is built only where it is the
+        # faster of the two, d <= 8 (at most 64 d n entries).
         if d <= 8:
             bras = np.zeros((len(group), d * n, n), dtype=complex)
             bras[:, range(d * n), np.tile(range(n), d)] = stack.conj().reshape(len(group), -1)
