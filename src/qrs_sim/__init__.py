@@ -36,7 +36,6 @@ from .reference import (
     joint_distribution,
     joint_distributions,
     joint_probability,
-    sample_assignment,
     state_of,
 )
 from .bell import (

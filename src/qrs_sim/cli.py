@@ -4,8 +4,8 @@
 prints a human-readable summary; ``--out`` additionally writes a
 machine-readable report (``--format csv|json``).  Output is byte-identical
 for identical options (including the seed).  Exit codes: 0 on success, 1
-when any internal consistency residual reaches 1e-10, 2 on configuration
-errors.
+when any internal consistency residual reaches 1e-10 or the library
+refuses the run, 2 on configuration errors.
 
 Every option is stated once, in :data:`OPTIONS`: its config-file key, its
 flag (``--key``, matched by the full name only), its parser and its help
@@ -29,7 +29,7 @@ import numpy as np
 from . import bell
 from .errors import ConfigError, NotNormalized, QrsError
 from .linalg import StateVector, tensor_product
-from .reference import JointDistribution, ReferenceSystem, internal_state_candidates, state_of
+from .reference import ReferenceSystem, internal_state_candidates, state_of
 
 SCENARIOS = ("intro-measurement", "pair-correlations", "bell", "bell-ancilla", "chsh-scan")
 RESIDUAL_GATE = 1e-10
@@ -304,22 +304,22 @@ def parse_config(argv) -> ScenarioSpec:
 
 
 def _max_abs(x, y=0.0) -> float:
-    """max |x - y| over all cells: the form of the route residuals."""
-    return float(np.max(np.abs(x - y)))
+    """max |x - y| over all cells: the one form of every residual."""
+    return float(np.abs(x - y).max())
 
 
-def _off_one(table) -> float:
-    """|sum - 1| over all cells: the form of the table-sum residuals."""
-    return abs(float(table.sum()) - 1.0)
-
-
-def _attach_sampling(report: RunReport, dist: JointDistribution, axis_names) -> None:
-    spec = report.spec
-    if spec.samples <= 0:
-        return
-    freq = dist.frequencies(spec.seed, spec.samples)
-    report.empirical = ReportTable(kind="empirical", values=freq, axis_names=tuple(axis_names))
-    report.metrics["empirical_max_deviation"] = _max_abs(freq, dist.probabilities)
+def _report(spec: ScenarioSpec, tables, pairs, metrics, sampled=None) -> RunReport:
+    """A table per ``(kind, values, axis_names[, settings])``, the residual
+    of each ``(name, x, y)`` pair in order, the metrics, and for samples the
+    empirical table of ``sampled = (distribution, axis_names)``."""
+    residuals = {name: _max_abs(x, y) for name, x, y in pairs}
+    report = RunReport(spec, [ReportTable(*table) for table in tables], None, residuals, metrics)
+    if sampled is not None and spec.samples > 0:
+        dist, axis_names = sampled
+        freq = dist.frequencies(spec.seed, spec.samples)
+        report.empirical = ReportTable("empirical", freq, axis_names)
+        report.metrics["empirical_max_deviation"] = _max_abs(freq, dist.probabilities)
+    return report
 
 
 def _run_intro(spec: ScenarioSpec) -> RunReport:
@@ -336,31 +336,29 @@ def _run_intro(spec: ScenarioSpec) -> RunReport:
     candidates = internal_state_candidates(("M",), reference)
     device_state = state_of("M", reference).matrix
 
-    report = RunReport(spec=spec)
-    report.tables.append(ReportTable("device_marginal", marginal, ("j",)))
-    report.tables.append(
-        ReportTable("device_state_diagonal", np.real(np.diag(device_state)), ("m",))
-    )
-    report.tables.append(ReportTable("candidate_weights", candidates.eigenvalues, ("n",)))
-    report.metrics["candidate_degenerate"] = float(candidates.degenerate)
-    report.residuals["state_norm"] = abs(final.norm() - 1.0)
-    report.residuals["table_sum:device_marginal"] = _off_one(marginal)
-    report.residuals["route:born_vs_direct"] = _max_abs(marginal, born)
-    off_diagonal = device_state - np.diag(np.diag(device_state))
-    report.residuals["device_state_offdiagonal"] = _max_abs(off_diagonal)
-    _attach_sampling(report, dist, ("j",))
-    return report
+    tables = [
+        ("device_marginal", marginal, ("j",)),
+        ("device_state_diagonal", np.real(np.diag(device_state)), ("m",)),
+        ("candidate_weights", candidates.eigenvalues, ("n",)),
+    ]
+    pairs = [
+        ("state_norm", final.norm(), 1.0),
+        ("table_sum:device_marginal", marginal.sum(), 1.0),
+        ("route:born_vs_direct", marginal, born),
+        ("device_state_offdiagonal", device_state, np.diag(np.diag(device_state))),
+    ]
+    metrics = {"candidate_degenerate": float(candidates.degenerate)}
+    return _report(spec, tables, pairs, metrics, (dist, ("j",)))
 
 
 def _run_pair(spec: ScenarioSpec) -> RunReport:
     config = spec.config
     dist = bell.pair_distribution(config)
-    report = RunReport(spec=spec)
-    report.tables.append(ReportTable("pair_table", dist.probabilities, ("j", "k")))
-    report.residuals["table_sum:pair_table"] = _off_one(dist.probabilities)
-    report.residuals["route:direct_vs_coefficients"] = _max_abs(dist.probabilities, np.diag(config._weights))
-    _attach_sampling(report, dist, ("j", "k"))
-    return report
+    pairs = [
+        ("table_sum:pair_table", dist.probabilities.sum(), 1.0),
+        ("route:direct_vs_coefficients", dist.probabilities, np.diag(config._weights)),
+    ]
+    return _report(spec, [("pair_table", dist.probabilities, ("j", "k"))], pairs, {}, (dist, ("j", "k")))
 
 
 def _run_bell(spec: ScenarioSpec) -> RunReport:
@@ -373,24 +371,24 @@ def _run_bell(spec: ScenarioSpec) -> RunReport:
     marginal2 = bell.device_marginal(final, 2)
 
     settings = (spec.theta1, spec.theta2)
-    report = RunReport(spec=spec)
-    report.tables.append(ReportTable("entangled", entangled.probabilities, ("j", "k"), settings))
-    report.tables.append(ReportTable("factorized", factorized.probabilities, ("j", "k"), settings))
-    report.tables.append(ReportTable("direct", direct.probabilities, ("j", "k"), settings))
-    report.tables.append(ReportTable("device_marginal_1", marginal1, ("j",)))
-    report.tables.append(ReportTable("device_marginal_2", marginal2, ("k",)))
-
-    report.residuals["state_norm"] = abs(final.norm() - 1.0)
-    report.residuals["route:entangled_vs_direct"] = _max_abs(entangled.probabilities, direct.probabilities)
-    for name, table in (("entangled", entangled.probabilities), ("factorized", factorized.probabilities)):
-        report.residuals[f"table_sum:{name}"] = _off_one(table)
-    report.residuals["marginal:entangled_vs_device"] = max(
-        _max_abs(entangled.probabilities.sum(axis=1), marginal1), _max_abs(entangled.probabilities.sum(axis=0), marginal2)
-    )
-    report.metrics["correlator_entangled"] = bell.correlator(entangled)
-    report.metrics["correlator_factorized"] = bell.correlator(factorized)
-    _attach_sampling(report, direct, ("j", "k"))
-    return report
+    tables = [
+        ("entangled", entangled.probabilities, ("j", "k"), settings),
+        ("factorized", factorized.probabilities, ("j", "k"), settings),
+        ("direct", direct.probabilities, ("j", "k"), settings),
+        ("device_marginal_1", marginal1, ("j",)),
+        ("device_marginal_2", marginal2, ("k",)),
+    ]
+    # each side's marginal of the entangled table against that side's device
+    routed = np.concatenate([entangled.probabilities.sum(axis=1), entangled.probabilities.sum(axis=0)])
+    pairs = [
+        ("state_norm", final.norm(), 1.0),
+        ("route:entangled_vs_direct", entangled.probabilities, direct.probabilities),
+        ("table_sum:entangled", entangled.probabilities.sum(), 1.0),
+        ("table_sum:factorized", factorized.probabilities.sum(), 1.0),
+        ("marginal:entangled_vs_device", routed, np.concatenate([marginal1, marginal2])),
+    ]
+    metrics = {"correlator_entangled": bell.correlator(entangled), "correlator_factorized": bell.correlator(factorized)}
+    return _report(spec, tables, pairs, metrics, (direct, ("j", "k")))
 
 
 def _run_ancilla(spec: ScenarioSpec) -> RunReport:
@@ -404,19 +402,20 @@ def _run_ancilla(spec: ScenarioSpec) -> RunReport:
     entangled = bell.correlation_entangled(config)
 
     settings = (spec.theta1, spec.theta2)
-    report = RunReport(spec=spec)
-    report.tables.append(ReportTable("ancilla_joint", n4.probabilities, ("l1", "l2", "j", "k"), settings))
-    report.tables.append(ReportTable("direct", collapsed, ("j", "k"), settings))
-    report.tables.append(ReportTable("factorized", factorized.probabilities, ("j", "k"), settings))
-    report.tables.append(ReportTable("entangled", entangled.probabilities, ("j", "k"), settings))
-
-    report.residuals["state_norm"] = abs(state.norm() - 1.0)
-    report.residuals["route:ancilla_joint_vs_intuitive"] = _max_abs(n4.probabilities, intuitive)
-    report.residuals["route:devices_vs_factorized"] = _max_abs(collapsed, factorized.probabilities)
-    report.residuals["table_sum:ancilla_joint"] = _off_one(n4.probabilities)
-    report.metrics["correlation_change"] = _max_abs(collapsed, entangled.probabilities)
-    _attach_sampling(report, n4, ("l1", "l2", "j", "k"))
-    return report
+    tables = [
+        ("ancilla_joint", n4.probabilities, ("l1", "l2", "j", "k"), settings),
+        ("direct", collapsed, ("j", "k"), settings),
+        ("factorized", factorized.probabilities, ("j", "k"), settings),
+        ("entangled", entangled.probabilities, ("j", "k"), settings),
+    ]
+    pairs = [
+        ("state_norm", state.norm(), 1.0),
+        ("route:ancilla_joint_vs_intuitive", n4.probabilities, intuitive),
+        ("route:devices_vs_factorized", collapsed, factorized.probabilities),
+        ("table_sum:ancilla_joint", n4.probabilities.sum(), 1.0),
+    ]
+    metrics = {"correlation_change": _max_abs(collapsed, entangled.probabilities)}
+    return _report(spec, tables, pairs, metrics, (n4, ("l1", "l2", "j", "k")))
 
 
 @functools.lru_cache(maxsize=4)
@@ -439,14 +438,13 @@ def _run_chsh_scan(spec: ScenarioSpec) -> RunReport:
     config = bell.ExperimentConfig(spec.a, spec.b, theta1, theta2)
     s_ent, s_fac, s_direct = bell._chsh_value([route(config) for route in bell._TABLE_ROUTES.values()], False)
 
-    report = RunReport(spec=spec)
-    report.tables.append(ReportTable("scan_angle", points.astype(float), ("point",)))
-    report.tables.append(ReportTable("chsh_entangled", s_ent, ("point",)))
-    report.tables.append(ReportTable("chsh_factorized", s_fac, ("point",)))
-    report.residuals["route:chsh_closed_vs_direct"] = _max_abs(s_ent, s_direct)
-    report.metrics["chsh_entangled_max_abs"] = _max_abs(s_ent)
-    report.metrics["chsh_factorized_max_abs"] = _max_abs(s_fac)
-    return report
+    tables = [
+        ("scan_angle", points.astype(float), ("point",)),
+        ("chsh_entangled", s_ent, ("point",)),
+        ("chsh_factorized", s_fac, ("point",)),
+    ]
+    metrics = {"chsh_entangled_max_abs": _max_abs(s_ent), "chsh_factorized_max_abs": _max_abs(s_fac)}
+    return _report(spec, tables, [("route:chsh_closed_vs_direct", s_ent, s_direct)], metrics)
 
 
 _RUNNERS = {
@@ -486,16 +484,15 @@ def _table_dict(table: ReportTable) -> dict:
 
 
 def report_dict(report: RunReport) -> dict:
-    tables = [_table_dict(t) for t in report.all_tables]
     out = {
         "spec": _spec_dict(report.spec),
-        "tables": tables[: len(report.tables)],
+        "tables": [_table_dict(t) for t in report.tables],
         "residuals": report.residuals,
         "metrics": report.metrics,
         "ok": report.ok,
     }
     if report.empirical is not None:
-        out["empirical"] = tables[-1]
+        out["empirical"] = _table_dict(report.empirical)
     return out
 
 

@@ -281,10 +281,6 @@ class DensityOperator:
         self.space = space
         self.matrix = mat
 
-    def trace(self) -> float | np.ndarray:
-        trace = np.trace(self.matrix, axis1=-2, axis2=-1).real
-        return float(trace) if self.batch is None else trace
-
     def __repr__(self) -> str:
         return f"DensityOperator({self.space!r})"
 
@@ -341,9 +337,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     states: tuple[StateVector, ...]
     degenerate: bool
-
-    def __len__(self) -> int:
-        return len(self.states)
 
 
 def tensor_product(first: StateVector, second: StateVector, *rest: StateVector) -> StateVector:

@@ -396,16 +396,3 @@ def joint_distributions(tables, reference: ReferenceSystem, *, candidates=None) 
         axes = tuple((system, n) for system, n in zip(systems, table.shape[1:]))
         out.append(JointDistribution(axes=axes, probabilities=table if reference.state.batch else table[0]))
     return out
-
-
-def sample_assignment(
-    systems,
-    reference: ReferenceSystem,
-    seed: int,
-    *,
-    candidates=None,
-) -> tuple[int, ...]:
-    """Draw one candidate index tuple from the joint distribution;
-    deterministic for a fixed seed."""
-    _single("sample_assignment", reference.state)
-    return joint_distribution(systems, reference, candidates=candidates).sample(seed, 1)[0]

@@ -34,7 +34,7 @@ from qrs_sim.cli import (
 )
 from qrs_sim import bell, cli, linalg, reference
 from qrs_sim.bell import COEFF_MARGIN, COEFF_TOL, ExperimentConfig
-from qrs_sim.errors import ConfigError, NotNormalized
+from qrs_sim.errors import ConfigError, NonDisjointSystems, NotNormalized
 
 import cli_corpus
 
@@ -419,6 +419,24 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err
         assert "Traceback" not in err
+
+    def test_unknown_format_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "format.cfg"
+        path.write_text("scenario = bell\nformat = xml\n")
+        for argv in (["run", "--scenario", "bell", "--format=xml"], ["run", "--config", str(path)]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: --format:") and "'xml'" in captured.err
+            assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_library_error_in_run_exit_code(self, monkeypatch, capsys):
+        def refuse(spec):
+            raise NonDisjointSystems("systems ['M1'] overlap", overlap=["M1"])
+
+        monkeypatch.setattr("qrs_sim.cli.run", refuse)
+        assert main(["run", "--scenario", "bell"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: systems ['M1'] overlap\n" and captured.out == ""
 
     def test_unwritable_output_exit_code(self, tmp_path, capsys):
         missing_dir = tmp_path / "nope" / "report.json"

@@ -41,7 +41,6 @@ PUBLIC = (
     "measurement_unitary",
     "pair_distribution",
     "partial_trace",
-    "sample_assignment",
     "spin_eigenstates",
     "state_of",
     "tensor_product",

@@ -20,7 +20,6 @@ from qrs_sim import (
     joint_distribution,
     joint_distributions,
     joint_probability,
-    sample_assignment,
     state_of,
     tensor_product,
 )
@@ -105,14 +104,14 @@ class TestInternalStateCandidates:
         v = StateVector(SpaceRegistry([("B", 2)]), rng.normal(size=2), normalize=True)
         ref = ReferenceSystem(tensor_product(u, v), isolated=True)
         spectrum = internal_state_candidates("A", ref)
-        assert len(spectrum) == 1
+        assert len(spectrum.states) == 1
         assert_allclose(spectrum.eigenvalues, [1.0], atol=1e-12)
         overlap = abs(np.vdot(spectrum.states[0].amplitudes, u.amplitudes))
         assert abs(overlap - 1.0) < 1e-12
 
     def test_singlet_is_degenerate(self):
         spectrum = internal_state_candidates("P1", pair_system(a=2**-0.5, b=2**-0.5))
-        assert len(spectrum) == 2
+        assert len(spectrum.states) == 2
         assert_allclose(spectrum.eigenvalues, [0.5, 0.5], atol=1e-12)
         assert spectrum.degenerate
 
@@ -123,7 +122,7 @@ class TestInternalStateCandidates:
         amps[0] = 1.0
         ref = ReferenceSystem(StateVector(space, amps), isolated=True)
         spectrum = internal_state_candidates("A", ref)
-        assert len(spectrum) == 1
+        assert len(spectrum.states) == 1
         assert not spectrum.degenerate
 
     def test_requires_isolated(self):
@@ -369,9 +368,9 @@ SAMPLING_TABLES = {
 class TestSampling:
     def test_deterministic_for_fixed_seed(self):
         ref = pair_system()
-        first = sample_assignment([("P1",), ("P2",)], ref, seed=123)
-        second = sample_assignment([("P1",), ("P2",)], ref, seed=123)
-        assert first == second
+        first = joint_distribution([("P1",), ("P2",)], ref).sample(123)
+        second = joint_distribution([("P1",), ("P2",)], ref).sample(123)
+        assert first == second and len(first) == 1
 
     def test_concentrated_table_always_hits_it(self):
         space = SpaceRegistry([("A", 2), ("B", 2)])
@@ -379,7 +378,7 @@ class TestSampling:
         amps[3] = 1.0
         ref = ReferenceSystem(StateVector(space, amps), isolated=True)
         for seed in range(20):
-            assert sample_assignment([("A",), ("B",)], ref, seed=seed) == (0, 0)
+            assert joint_distribution([("A",), ("B",)], ref).sample(seed) == [(0, 0)]
 
     def test_frequency_matches_distribution_over_seeds(self):
         # one draw per seed; the (0, 0) cell of the maximally entangled pair
@@ -485,7 +484,6 @@ class TestBatchedJointDistribution:
             ("internal_state_candidates", lambda: internal_state_candidates("M1", ref)),
             ("internal_state_candidates", lambda: joint_distribution([("M1",), ("M2",)], ref)),
             ("joint_probability", lambda: joint_probability([("M1", 0)], ref)),
-            ("sample_assignment", lambda: sample_assignment([("M1",)], ref, seed=1)),
             ("JointDistribution.marginal", lambda: dist.marginal([0])),
             ("JointDistribution.sample", lambda: dist.sample(1)),
             ("JointDistribution.frequencies", lambda: dist.frequencies(1, 5)),
